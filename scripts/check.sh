@@ -89,29 +89,6 @@ for config in $configs; do
             run_logged ctest_tier1_distill0.log 3 \
                 ctest -L tier1 -j "$jobs" --output-on-failure)
 
-        # Gang replay also defaults on; the suite must equally hold
-        # with every run scheduled per-organization.
-        echo "=== [$config] ctest -L tier1 (NURAPID_GANG=0) ==="
-        (cd "$dir" && export NURAPID_GANG=0 &&
-            run_logged ctest_tier1_gang0.log 3 \
-                ctest -L tier1 -j "$jobs" --output-on-failure)
-
-        # Stream-lookahead prefetch defaults on; the suite must hold
-        # with the hints disabled (they never touch simulated state,
-        # so this bracket catches any accidental coupling).
-        echo "=== [$config] ctest -L tier1 (NURAPID_PREFETCH=0) ==="
-        (cd "$dir" && export NURAPID_PREFETCH=0 &&
-            run_logged ctest_tier1_prefetch0.log 3 \
-                ctest -L tier1 -j "$jobs" --output-on-failure)
-
-        # Scalar-probe fallback + packed rank planes: the suite must
-        # hold with the SIMD tag probe forced off, pinning the rank
-        # planes against the scalar probe path they coexist with.
-        echo "=== [$config] ctest -L tier1 (NURAPID_FORCE_SCALAR_PROBE=1) ==="
-        (cd "$dir" && export NURAPID_FORCE_SCALAR_PROBE=1 &&
-            run_logged ctest_tier1_scalar.log 3 \
-                ctest -L tier1 -j "$jobs" --output-on-failure)
-
         echo "=== [$config] obs smoke (flight recorder + report) ==="
         obs_dir="$dir/obs_smoke"
         rm -rf "$obs_dir"
@@ -171,70 +148,30 @@ for config in $configs; do
             echo "obs: run cache diverged around an observed suite" >&2
             exit 1; }
 
-        # Gang-identity bracket: the all-organizations suite, run once
-        # gang-scheduled and once per-organization, must fill caches
-        # whose normalized dumps (--dump-cache zeroes wall-clock and
-        # strips the gang key fields) are byte-identical.
-        echo "=== [$config] gang-identity bracket (gang on vs off) ==="
-        gang_dir="$dir/gang_bracket"
-        rm -rf "$gang_dir"
-        mkdir -p "$gang_dir"
-        # The gang-on leg doubles as the engine-trace smoke: spans are
-        # host-side only, so tracing one leg cannot perturb the
-        # identity comparison below.
-        rm -f "$gang_dir/engine_trace.json"
-        NURAPID_SIM_SCALE=0.02 NURAPID_RUN_CACHE="$gang_dir/on.json" \
-            "$dir/src/tools/nurapid_sim" --org all --suite --gang on \
-            --engine-trace-out "$gang_dir/engine_trace.json" \
-            > /dev/null 2> "$gang_dir/engine.log"
-        NURAPID_SIM_SCALE=0.02 NURAPID_RUN_CACHE="$gang_dir/off.json" \
-            "$dir/src/tools/nurapid_sim" --org all --suite --gang off \
-            > /dev/null
-        [ -s "$gang_dir/engine_trace.json" ] || {
-            echo "engine trace: no trace written" >&2; exit 1; }
-        grep -q '"ph":"X"' "$gang_dir/engine_trace.json" || {
-            echo "engine trace: no spans in trace" >&2; exit 1; }
-        # The [engine] footer must account for >= 95% of the process
-        # wall time: the top-level run-unit spans cover everything the
+        # Engine-trace smoke: one all-organizations suite with span
+        # tracing attached must write a trace with spans in it, and the
+        # [engine] footer must account for >= 95% of the process wall
+        # time: the top-level run-unit spans cover everything the
         # workers do, leaving only a few fixed ms of startup/teardown
         # outside any span.
+        echo "=== [$config] engine-trace smoke (span coverage) ==="
+        trace_dir="$dir/engine_trace_smoke"
+        rm -rf "$trace_dir"
+        mkdir -p "$trace_dir"
+        NURAPID_SIM_SCALE=0.02 NURAPID_RUN_CACHE="$trace_dir/cache.json" \
+            "$dir/src/tools/nurapid_sim" --org all --suite \
+            --engine-trace-out "$trace_dir/engine_trace.json" \
+            > /dev/null 2> "$trace_dir/engine.log"
+        [ -s "$trace_dir/engine_trace.json" ] || {
+            echo "engine trace: no trace written" >&2; exit 1; }
+        grep -q '"ph":"X"' "$trace_dir/engine_trace.json" || {
+            echo "engine trace: no spans in trace" >&2; exit 1; }
         awk '/^\[engine\] wall/ { gsub(/,/, ""); w += $3; c += $7 }
              END { pct = w > 0 ? 100 * c / w : 0;
                    printf "engine trace: %.1f%% of wall covered\n", pct;
-                   exit !(pct >= 95) }' "$gang_dir/engine.log" || {
+                   exit !(pct >= 95) }' "$trace_dir/engine.log" || {
             echo "engine trace: span coverage below 95%" \
-                 "(see $gang_dir/engine.log)" >&2
-            exit 1; }
-        "$dir/src/tools/nurapid_sim" --dump-cache "$gang_dir/on.json" \
-            > "$gang_dir/on.dump"
-        "$dir/src/tools/nurapid_sim" --dump-cache "$gang_dir/off.json" \
-            > "$gang_dir/off.dump"
-        cmp -s "$gang_dir/on.dump" "$gang_dir/off.dump" || {
-            echo "gang bracket: gang-on and gang-off sweeps disagree" \
-                 "(diff $gang_dir/on.dump $gang_dir/off.dump)" >&2
-            exit 1; }
-
-        # Cohort-identity bracket: footprint tiling with a 1-byte LLC
-        # budget (one lane per cohort, maximum re-traversal) must fill
-        # a cache whose normalized dump matches the naive all-lanes
-        # gang byte for byte.
-        echo "=== [$config] cohort-identity bracket (footprint vs naive) ==="
-        NURAPID_SIM_SCALE=0.02 NURAPID_RUN_CACHE="$gang_dir/tiled.json" \
-            NURAPID_GANG_SCHED=footprint NURAPID_GANG_LLC_BYTES=1 \
-            "$dir/src/tools/nurapid_sim" --org all --suite --gang on \
-            > /dev/null
-        NURAPID_SIM_SCALE=0.02 NURAPID_RUN_CACHE="$gang_dir/naive.json" \
-            NURAPID_GANG_SCHED=naive \
-            "$dir/src/tools/nurapid_sim" --org all --suite --gang on \
-            > /dev/null
-        "$dir/src/tools/nurapid_sim" --dump-cache "$gang_dir/tiled.json" \
-            > "$gang_dir/tiled.dump"
-        "$dir/src/tools/nurapid_sim" --dump-cache "$gang_dir/naive.json" \
-            > "$gang_dir/naive.dump"
-        cmp -s "$gang_dir/tiled.dump" "$gang_dir/naive.dump" || {
-            echo "cohort bracket: footprint and naive gang scheduling" \
-                 "disagree (diff $gang_dir/tiled.dump" \
-                 "$gang_dir/naive.dump)" >&2
+                 "(see $trace_dir/engine.log)" >&2
             exit 1; }
     fi
 
@@ -308,7 +245,6 @@ for config in $configs; do
         distill_s=$(bucket_sum "$smoke_log" distill)
         core_on_s=$(bucket_sum "$smoke_log" core)
         core_off_s=$(bucket_sum "$off_log" core)
-        gang_s=$(bucket_sum "$smoke_log" gang)
         recency_s=$(bucket_sum "$smoke_log" recency)
         echo "perf smoke: distill ${distill_s}s," \
              "core ${core_on_s}s (distilled) vs ${core_off_s}s (live)"
@@ -320,13 +256,6 @@ for config in $configs; do
             'BEGIN { exit !(on < off) }' || {
             echo "perf smoke: distilled core bucket (${core_on_s}s) did" \
                  "not shrink vs live (${core_off_s}s)" >&2
-            exit 1
-        }
-        # The sweep batches all organizations per figure, so gang
-        # replay must actually engage and show up in the profile.
-        echo "perf smoke: gang bucket ${gang_s}s"
-        awk -v g="$gang_s" 'BEGIN { exit !(g > 0) }' || {
-            echo "perf smoke: no Gang bucket in the profile" >&2
             exit 1
         }
         # The packed rank planes carry their own footer slice; a zero

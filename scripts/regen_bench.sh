@@ -10,8 +10,8 @@
 #                          [--engine-trace-out FILE]
 #
 # --engine-trace-out FILE records host-time engine spans (trace
-# pregen, distill decode, gang replay, run-cache probe/store,
-# per-config simulate) from every bench binary into ONE Chrome trace
+# pregen, distill decode, run-cache probe/store, per-config
+# simulate) from every bench binary into ONE Chrome trace
 # at FILE — the format is append-friendly, so all 17 processes share
 # the whole-sweep file; load it in ui.perfetto.dev. Each binary also
 # prints an [engine] wall-time footer. Same as NURAPID_ENGINE_TRACE.

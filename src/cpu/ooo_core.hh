@@ -26,7 +26,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 
 #include "common/fixed_ring.hh"
 #include "common/logging.hh"
@@ -42,36 +41,6 @@
 #include "trace/record.hh"
 
 namespace nurapid {
-
-class GangReplayer;
-
-/**
- * Stream-lookahead prefetch distance for the distilled replay loops:
- * how many events ahead of the current one to hint at the organization
- * (LowerMemory::prefetchHotLines). 0 disables. NURAPID_PREFETCH=0
- * turns it off; NURAPID_PREFETCH_DIST overrides the distance (default
- * 8, clamped to [1, 256]). Read per replay call, not cached, so tests
- * can toggle it mid-process. The hints never change simulated state,
- * so on/off is bit-identical by construction.
- */
-inline std::uint32_t
-streamPrefetchDistance()
-{
-    const char *const on = std::getenv("NURAPID_PREFETCH");
-    if (on && on[0] == '0' && on[1] == '\0')
-        return 0;
-    std::uint32_t dist = 8;
-    if (const char *const d = std::getenv("NURAPID_PREFETCH_DIST")) {
-        char *end = nullptr;
-        const long v = std::strtol(d, &end, 10);
-        if (end == d || *end != '\0' || v < 1 || v > 256) {
-            warnOnce("ignoring invalid NURAPID_PREFETCH_DIST '%s'", d);
-        } else {
-            dist = static_cast<std::uint32_t>(v);
-        }
-    }
-    return dist;
-}
 
 struct CoreParams
 {
@@ -168,7 +137,7 @@ class OooCore
      * samples the organization's cumulative EnergyBreakdown at a
      * reference boundary — never mid-access — so the per-epoch energy
      * timeline telescopes exactly to the end-of-run accumulators on
-     * every replay path (live, distilled, gang).
+     * every replay path (live and distilled).
      */
     void
     attachObservability(EventSink *sink, IntervalRecorder *recorder)
@@ -178,11 +147,6 @@ class OooCore
     }
 
   private:
-    /** The gang replayer (sim/gang.hh) drives many cores through one
-     *  shared distilled-stream traversal; it checks the lanes' private
-     *  dispatch state when deciding a group's eligibility. */
-    friend class GangReplayer;
-
     struct Pending
     {
         std::uint64_t inst = 0;  //!< instruction index at issue
@@ -414,22 +378,12 @@ OooCore::runDistilled(LowerT &lower_mem, DistilledTrace::Cursor &cur,
     using DT = DistilledTrace;
     const std::uint64_t stop = cur.pos + records;
     const std::uint16_t *const gaps = cur.gaps;
-    const std::uint32_t pf = streamPrefetchDistance();
 
     while (cur.pos < stop) {
         panic_if(cur.ev == cur.ev_end,
                  "distilled events drained before the stop record — "
                  "replay must end on one of the stream's cuts");
         const DT::Event &e = *cur.ev++;
-        // Lookahead hint: while this event's inert prefix and machine
-        // bookkeeping run, the plane lines a near-future event will
-        // touch stream into the host cache. cur.ev already points one
-        // past e, so pf == 1 hints the very next event.
-        if (pf) {
-            const DT::Event *const ahead = cur.ev + (pf - 1);
-            if (ahead < cur.ev_end)
-                lower_mem.prefetchHotLines(ahead->addr);
-        }
         const std::uint64_t erec = e.rec;
         panic_if(erec >= stop,
                  "distilled event past the stop record — replay must "

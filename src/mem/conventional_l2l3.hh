@@ -72,16 +72,7 @@ class ConventionalL2L3 final : public LowerMemory
     SetAssocCache &l3() { return l3Cache; }
     MainMemory &memory() { return mem; }
 
-    /** Stream-lookahead hint (name-hiding, see LowerMemory): every
-     *  access probes the L2 first, and most misses continue to L3. */
-    void
-    prefetchHotLines(Addr addr) const
-    {
-        l2Cache.prefetchHotLines(addr);
-        l3Cache.prefetchHotLines(addr);
-    }
-
-    /** L2 + L3 plane footprint for gang cohort budgeting. */
+    /** L2 + L3 plane footprint. */
     std::size_t
     hotStateBytes() const override
     {

@@ -146,21 +146,11 @@ class LowerMemory
     }
 
     /**
-     * Stream-lookahead prefetch hint: pull the plane lines an upcoming
-     * access to @p addr will touch into the host cache. Deliberately
-     * non-virtual — the devirtualized replay loops resolve the
-     * concrete organization's name-hiding overload at compile time,
-     * and polymorphic callers (tools, the oracle) get this free no-op.
-     * Never changes simulated state, so prefetch on/off is
-     * bit-identical by construction.
-     */
-    void prefetchHotLines(Addr) const {}
-
-    /**
      * Bytes of host memory the organization's per-reference hot state
-     * occupies (tag/rank/pointer planes, bitmaps). The gang replayer
-     * tiles lanes into cohorts whose combined footprint fits the host
-     * LLC budget. Default 0 = "free" (toy caches, the oracle).
+     * occupies (tag/rank/pointer planes, bitmaps) — the working set
+     * its access() path walks, reported by the benchmark harness as a
+     * per-organization footprint. Default 0 = "free" (toy caches, the
+     * oracle).
      */
     virtual std::size_t hotStateBytes() const { return 0; }
 

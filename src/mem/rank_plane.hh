@@ -30,10 +30,8 @@
  *    order (head = way 0, tail = way ways-1) and a virtual stamp
  *    plane initialised with descending stamps.
  *
- * RankPlaneRef is the always-compiled scalar reference (one byte per
- * way, loop-based), mirroring tag_probe.hh's scalar probe: the unit
- * tests drive both under identical churn and require bit-equal
- * answers.
+ * tests/test_rank_planes.cc drives a plane and a 64-bit stamp model
+ * under identical churn and requires bit-equal answers.
  */
 
 #ifndef NURAPID_MEM_RANK_PLANE_HH
@@ -89,13 +87,6 @@ class RankPlane
 
     std::uint32_t ways() const { return ways_; }
     std::size_t bytes() const { return words_.size() * sizeof(std::uint64_t); }
-
-    /** Address of @p set's first rank word (a prefetch target). */
-    const void *
-    setWords(std::uint32_t set) const
-    {
-        return &words_[std::size_t{set} << wpsShift_];
-    }
 
     std::uint32_t
     rankOf(std::uint32_t set, std::uint32_t way) const
@@ -227,112 +218,6 @@ class RankPlane
     std::uint32_t wordsPerSet_ = 0;
     unsigned wpsShift_ = 0;
     bool packed4_ = false;
-};
-
-/**
- * Scalar reference model: one byte per way, plain loops.  Same API
- * and same permutation invariant as RankPlane; the unit tests require
- * bit-equal answers under identical churn for both encodings.
- */
-class RankPlaneRef
-{
-  public:
-    RankPlaneRef() = default;
-    RankPlaneRef(std::uint32_t sets, std::uint32_t ways)
-    {
-        init(sets, ways);
-    }
-
-    void
-    init(std::uint32_t sets, std::uint32_t ways)
-    {
-        ways_ = ways;
-        ranks_.resize(std::size_t{sets} * ways);
-        for (std::uint32_t s = 0; s < sets; ++s)
-            for (std::uint32_t w = 0; w < ways; ++w)
-                ranks_[std::size_t{s} * ways + w] =
-                    static_cast<std::uint8_t>(w);
-    }
-
-    std::uint32_t ways() const { return ways_; }
-
-    std::uint32_t
-    rankOf(std::uint32_t set, std::uint32_t way) const
-    {
-        return ranks_[std::size_t{set} * ways_ + way];
-    }
-
-    void
-    touch(std::uint32_t set, std::uint32_t way)
-    {
-        std::uint8_t *r = &ranks_[std::size_t{set} * ways_];
-        const std::uint8_t old = r[way];
-        if (old == 0)
-            return;
-        for (std::uint32_t w = 0; w < ways_; ++w)
-            if (r[w] < old)
-                ++r[w];
-        r[way] = 0;
-    }
-
-    void
-    swapWays(std::uint32_t set, std::uint32_t a, std::uint32_t b)
-    {
-        std::uint8_t *r = &ranks_[std::size_t{set} * ways_];
-        const std::uint8_t t = r[a];
-        r[a] = r[b];
-        r[b] = t;
-    }
-
-    std::uint32_t
-    lruWay(std::uint32_t set) const
-    {
-        std::uint32_t best = 0, bestRank = rankOf(set, 0);
-        for (std::uint32_t w = 1; w < ways_; ++w) {
-            const std::uint32_t r = rankOf(set, w);
-            if (r > bestRank) {
-                bestRank = r;
-                best = w;
-            }
-        }
-        return best;
-    }
-
-    std::uint32_t
-    lruWayMasked(std::uint32_t set, std::uint64_t mask) const
-    {
-        std::uint32_t best = 0;
-        std::int32_t bestRank = -1;
-        while (mask) {
-            const std::uint32_t w =
-                static_cast<std::uint32_t>(std::countr_zero(mask));
-            mask &= mask - 1;
-            const std::int32_t r =
-                static_cast<std::int32_t>(rankOf(set, w));
-            if (r > bestRank) {
-                bestRank = r;
-                best = w;
-            }
-        }
-        return best;
-    }
-
-    bool
-    isPermutation(std::uint32_t set) const
-    {
-        std::uint64_t seen = 0;
-        for (std::uint32_t w = 0; w < ways_; ++w) {
-            const std::uint32_t r = rankOf(set, w);
-            if (r >= ways_ || (seen & (std::uint64_t{1} << r)))
-                return false;
-            seen |= std::uint64_t{1} << r;
-        }
-        return true;
-    }
-
-  private:
-    std::vector<std::uint8_t> ranks_;
-    std::uint32_t ways_ = 0;
 };
 
 } // namespace nurapid

@@ -161,21 +161,8 @@ class SetAssocCache
      */
     bool audit(AuditSink &sink) const;
 
-    /** Hints the upcoming access's hot plane lines into cache:
-     *  the tag row, the valid bitmap word, and (under LRU) the rank
-     *  word. Pure prefetch — no architectural state changes. */
-    void
-    prefetchHotLines(Addr addr) const
-    {
-        const std::uint32_t set = setIndex(addr);
-        __builtin_prefetch(&tagPlane[rowOf(set)], 0, 3);
-        __builtin_prefetch(&validBits[set], 0, 3);
-        if (organization.repl == ReplPolicy::LRU)
-            __builtin_prefetch(lruRanks.setWords(set), 1, 3);
-    }
-
     /** Bytes of per-reference hot state (planes + bitmaps), the
-     *  currency of the gang scheduler's footprint budget. */
+     *  summed into the owning organization's hotStateBytes(). */
     std::size_t
     hotBytes() const
     {
@@ -291,8 +278,8 @@ class SetAssocCache
     Rng replRng;
 
     StatGroup statGroup;
-    /** Counters grouped into one cache line so a gang lane's stat
-     *  updates dirty a single line instead of four scattered ones. */
+    /** Counters grouped into one cache line so the stat updates of one
+     *  access dirty a single line instead of four scattered ones. */
     struct alignas(64) Counters
     {
         Counter hits;

@@ -84,18 +84,6 @@ class DNucaCache final : public LowerMemory
     bool audit(AuditSink &sink) const override;
     std::size_t hotStateBytes() const override;
 
-    /** Hints the upcoming access's hot plane lines into cache: tag
-     *  row, valid bitmap word, rank word. Pure prefetch (hides the
-     *  virtual no-op of LowerMemory on devirtualized paths). */
-    void
-    prefetchHotLines(Addr addr) const
-    {
-        const std::uint32_t set = setOf(blockAlign(addr, p.block_bytes));
-        __builtin_prefetch(&tagPlane[rowBase(set)], 0, 3);
-        __builtin_prefetch(&validBits[set], 0, 3);
-        __builtin_prefetch(ranks.setWords(set), 1, 3);
-    }
-
     MainMemory &memory() { return mem; }
     const DNucaTiming &timing() const { return times; }
 
@@ -145,8 +133,8 @@ class DNucaCache final : public LowerMemory
     std::uint64_t auditTick = 0;  //!< periodic-audit access counter
 
     StatGroup statGroup;
-    /** Counters packed into one cache-line-aligned block so gang lanes
-     *  stop dirtying 12 scattered counter lines. */
+    /** Counters packed into one cache-line-aligned block so an access
+     *  stops dirtying 12 scattered counter lines. */
     struct alignas(64) Counters
     {
         Counter demandAccesses;

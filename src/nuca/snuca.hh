@@ -66,16 +66,7 @@ class SNucaCache final : public LowerMemory
     /** Static bank of an address (row-major index). */
     std::uint32_t bankOf(Addr block) const;
 
-    /** Stream-lookahead hint (name-hiding, see LowerMemory): pulls the
-     *  statically-addressed bank's set row into the host cache. */
-    void
-    prefetchHotLines(Addr addr) const
-    {
-        banks[bankOf(blockAlign(addr, p.block_bytes))]
-            .prefetchHotLines(addr);
-    }
-
-    /** Sum of the banks' plane footprints for gang cohort budgeting. */
+    /** Sum of the banks' plane footprints. */
     std::size_t
     hotStateBytes() const override
     {
@@ -95,8 +86,8 @@ class SNucaCache final : public LowerMemory
     EnergyBreakdown cacheEnergy{p.rows};
 
     StatGroup statGroup;
-    /** Counters packed into one cache-line-aligned block so gang lanes
-     *  stop dirtying 5 scattered counter lines. */
+    /** Counters packed into one cache-line-aligned block so an access
+     *  stops dirtying 5 scattered counter lines. */
     struct alignas(64) Counters
     {
         Counter demandAccesses;

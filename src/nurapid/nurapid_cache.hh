@@ -99,15 +99,7 @@ class NuRapidCache final : public LowerMemory
     const TagArray &tags() const { return tagArray; }
     const DataArray &data() const { return dataArray; }
 
-    /** Stream-lookahead hint (name-hiding, see LowerMemory): every
-     *  access starts at the centralized tag array. */
-    void
-    prefetchHotLines(Addr addr) const
-    {
-        tagArray.prefetchHotLines(addr);
-    }
-
-    /** Tag + data plane footprint for gang cohort budgeting. */
+    /** Tag + data plane footprint. */
     std::size_t
     hotStateBytes() const override
     {
@@ -150,7 +142,7 @@ class NuRapidCache final : public LowerMemory
 
     StatGroup statGroup;
     /** Counters packed into two cache lines (hot-path updates stay in
-     *  the first) so gang lanes stop dirtying 13 scattered lines. */
+     *  the first) so an access stops dirtying 13 scattered lines. */
     struct alignas(64) Counters
     {
         Counter demandAccesses;

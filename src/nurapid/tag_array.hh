@@ -209,17 +209,6 @@ class TagArray
      */
     bool audit(AuditSink &sink) const;
 
-    /** Hints the upcoming access's hot plane lines into cache: tag
-     *  row, valid bitmap word, rank word. Pure prefetch. */
-    void
-    prefetchHotLines(Addr addr) const
-    {
-        const std::uint32_t set = setOf(addr);
-        __builtin_prefetch(&tagPlane[rowOf(set)], 0, 3);
-        __builtin_prefetch(&validBits[set], 0, 3);
-        __builtin_prefetch(ranks.setWords(set), 1, 3);
-    }
-
     /** Bytes of per-reference hot state (planes + bitmaps). */
     std::size_t
     hotBytes() const

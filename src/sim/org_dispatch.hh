@@ -1,8 +1,7 @@
 /**
  * @file
  * The single virtual-to-concrete switch over the five final cache
- * organizations, shared by the System's per-segment replay and the
- * gang replayer's per-event dispatch.
+ * organizations, used once per replay segment by System::runRecords.
  */
 
 #ifndef NURAPID_SIM_ORG_DISPATCH_HH

@@ -16,8 +16,7 @@ std::atomic<std::uint64_t> buckets[kBuckets];
 std::once_flag footer_armed;
 
 const char *const kNames[kBuckets] = {
-    "trace-gen", "distill", "core", "l2-org", "probe", "recency", "gang",
-    "stats",
+    "trace-gen", "distill", "core", "l2-org", "probe", "recency", "stats",
 };
 
 double
@@ -44,8 +43,6 @@ printFooter()
         static_cast<unsigned>(Bucket::Probe)].load();
     const std::uint64_t recency = buckets[
         static_cast<unsigned>(Bucket::Recency)].load();
-    const std::uint64_t gang = buckets[
-        static_cast<unsigned>(Bucket::Gang)].load();
     const std::uint64_t gen = buckets[
         static_cast<unsigned>(Bucket::TraceGen)].load();
     const std::uint64_t distill = buckets[
@@ -55,11 +52,11 @@ printFooter()
     const double attributed = secs(gen + distill + core + stats);
     std::fprintf(stderr,
                  "[profile] trace-gen %.3fs | distill %.3fs | core %.3fs "
-                 "(l2-org %.3fs, %.1f%%; probe %.3fs; recency %.3fs; "
-                 "gang %.3fs) | stats %.3fs | attributed %.3fs\n",
+                 "(l2-org %.3fs, %.1f%%; probe %.3fs; recency %.3fs) "
+                 "| stats %.3fs | attributed %.3fs\n",
                  secs(gen), secs(distill), secs(core), secs(l2),
                  core ? 100.0 * l2 / core : 0.0, secs(probe),
-                 secs(recency), secs(gang), secs(stats), attributed);
+                 secs(recency), secs(stats), attributed);
 }
 
 } // namespace

@@ -12,12 +12,10 @@
  *              (a subset of the core bucket, reported separately)
  *   probe      tag-array probes inside the NUCA organizations'
  *              access paths (a slice of l2-org, reported separately
- *              so SoA/SIMD probe-kernel wins are visible)
+ *              so SoA probe-kernel wins are visible)
  *   recency    LRU rank-plane touches and victim scans (a slice of
  *              l2-org, reported separately so packed-rank wins over
  *              the old stamp/chain recency state are visible)
- *   gang       multi-organization gang traversals (sim/gang.hh; a
- *              subset of the core bucket, reported separately)
  *   stats      metrics extraction + energy accounting
  *
  * Like the audit hooks, the probes are compiled out by default:
@@ -43,7 +41,6 @@ enum class Bucket : unsigned {
     L2Org,
     Probe,    //!< NUCA tag-array probes (a slice of the l2-org bucket)
     Recency,  //!< LRU rank touches/scans (a slice of the l2-org bucket)
-    Gang,     //!< gang stream traversals (a slice of the core bucket)
     Stats,
     kCount,
 };

@@ -3,6 +3,9 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+
+#include <unistd.h>
 
 #include "common/fingerprint.hh"
 #include "common/logging.hh"
@@ -151,7 +154,7 @@ energyFromJson(const Json &j, EnergyReport &e)
 
 RunKey
 fingerprintRun(const OrgSpec &spec, const WorkloadProfile &profile,
-               const SimLength &length, const GangMode &gang)
+               const SimLength &length)
 {
     Fingerprint fp;
     fp.field("schema", kRunCacheSchema);
@@ -159,19 +162,7 @@ fingerprintRun(const OrgSpec &spec, const WorkloadProfile &profile,
     fingerprintProfile(fp, profile);
     fp.field("warmup", length.warmup_records);
     fp.field("measure", length.measure_records);
-    fp.field("gang", gang.enabled);
-    fp.field("gang_width", gang.width_cap);
     return {fp.key(), fp.digest()};
-}
-
-std::string
-gangGroupKey(const WorkloadProfile &profile, const SimLength &length)
-{
-    Fingerprint fp;
-    fingerprintProfile(fp, profile);
-    fp.field("warmup", length.warmup_records);
-    fp.field("measure", length.measure_records);
-    return fp.key();
 }
 
 Json
@@ -347,7 +338,8 @@ RunCache::saveFile(const std::string &path)
     }
     root.set("entries", std::move(ents));
 
-    const std::string tmp = path + ".tmp";
+    const std::string tmp =
+        path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out) {

@@ -30,13 +30,12 @@
 #include <string>
 
 #include "common/json.hh"
-#include "sim/gang.hh"
 #include "sim/system.hh"
 
 namespace nurapid {
 
 /** Bump when simulator behavior changes invalidate old cache files. */
-inline constexpr std::uint32_t kRunCacheSchema = 1;
+inline constexpr std::uint32_t kRunCacheSchema = 2;
 
 /** Canonical key + digest identifying one run's inputs. */
 struct RunKey
@@ -45,23 +44,9 @@ struct RunKey
     std::string digest;  //!< 16-hex-digit FNV-1a of the key
 };
 
-/**
- * Builds the fingerprint of one (spec, profile, length) run. The gang
- * mode is part of the key: a cache populated by gang replays is never
- * served to a --gang=off verification run (or vice versa), so the
- * bit-identity bracket in scripts/check.sh really simulates twice.
- */
+/** Builds the fingerprint of one (spec, profile, length) run. */
 RunKey fingerprintRun(const OrgSpec &spec, const WorkloadProfile &profile,
-                      const SimLength &length,
-                      const GangMode &gang = GangMode::fromEnv());
-
-/**
- * Key of everything a gang must share: the workload profile (hence the
- * distilled stream and dispatch CPI) and the phase lengths. Runs with
- * equal group keys are candidates for one shared traversal.
- */
-std::string gangGroupKey(const WorkloadProfile &profile,
-                         const SimLength &length);
+                      const SimLength &length);
 
 /** RunMetrics <-> JSON (used by the cache file; round-trips exactly). */
 Json runMetricsToJson(const RunMetrics &m);
@@ -89,8 +74,7 @@ class RunCache
     /**
      * Visits every entry as (full key string, metrics), in digest
      * order. Used by nurapid_sim --dump-cache to print a normalized
-     * view two caches can be compared by even when their digests
-     * differ (the gang mode is part of the key).
+     * view two cache files can be diffed by.
      */
     void forEachEntry(
         const std::function<void(const std::string &,
@@ -105,8 +89,9 @@ class RunCache
 
     /**
      * Writes the cache to @p path, first re-merging any entries other
-     * processes appended since loadFile (ours win), via a temp-file
-     * rename so concurrent readers never see a torn file.
+     * processes appended since loadFile (ours win), via a per-process
+     * temp-file rename so concurrent readers never see a torn file and
+     * concurrent writers never share a temp file.
      */
     bool saveFile(const std::string &path);
 

@@ -7,9 +7,7 @@
 #include <utility>
 
 #include "common/logging.hh"
-#include "sim/gang.hh"
 #include "sim/runner/span_trace.hh"
-#include "trace/distilled_trace.hh"
 
 namespace nurapid {
 
@@ -28,7 +26,6 @@ RunEngineOptions::fromEnv()
     }
     if (const char *f = std::getenv("NURAPID_RUN_CACHE"))
         opts.cache_file = f;
-    opts.gang = GangMode::fromEnv();
     return opts;
 }
 
@@ -53,44 +50,6 @@ RunEngine::jobsFor(std::size_t pending) const
     return std::max(1u, std::min(base, cap));
 }
 
-std::vector<std::vector<std::size_t>>
-RunEngine::gangUnits(const std::vector<RunRequest> &requests,
-                     const std::vector<std::size_t> &misses) const
-{
-    std::vector<std::vector<std::size_t>> units;
-    if (!opts.gang.enabled || !distillEnabled()) {
-        units.reserve(misses.size());
-        for (std::size_t idx : misses)
-            units.push_back({idx});
-        return units;
-    }
-
-    // Group in first-appearance order so results stay deterministic
-    // regardless of map iteration order.
-    std::map<std::string, std::size_t> unit_of_key;
-    for (std::size_t idx : misses) {
-        const std::string key = gangGroupKey(requests[idx].profile,
-                                             requests[idx].length);
-        auto [it, inserted] = unit_of_key.emplace(key, units.size());
-        if (inserted)
-            units.emplace_back();
-        units[it->second].push_back(idx);
-    }
-
-    const std::uint32_t cap = opts.gang.width_cap;
-    if (cap == 0)
-        return units;  // unlimited width
-    std::vector<std::vector<std::size_t>> capped;
-    for (const auto &unit : units) {
-        for (std::size_t at = 0; at < unit.size(); at += cap) {
-            const std::size_t end = std::min<std::size_t>(
-                at + cap, unit.size());
-            capped.emplace_back(unit.begin() + at, unit.begin() + end);
-        }
-    }
-    return capped;
-}
-
 std::vector<RunMetrics>
 RunEngine::runMany(const std::vector<RunRequest> &requests)
 {
@@ -112,7 +71,7 @@ RunEngine::runMany(const std::vector<RunRequest> &requests)
             if (opts.use_cache && !requests[i].obs.enabled()) {
                 keys[i] = fingerprintRun(requests[i].spec,
                                          requests[i].profile,
-                                         requests[i].length, opts.gang);
+                                         requests[i].length);
                 if (memo.lookup(keys[i], results[i])) {
                     results[i].from_cache = true;
                     hits.fetch_add(1);
@@ -139,57 +98,24 @@ RunEngine::runMany(const std::vector<RunRequest> &requests)
     }
 
     if (!misses.empty()) {
-        // Pack the misses into work units. With gang replay enabled,
-        // misses sharing a workload profile and phase lengths become
-        // one multi-lane unit replayed in a single stream traversal;
-        // otherwise (and for groups of one) a unit is a lone run.
-        const std::vector<std::vector<std::size_t>> units =
-            gangUnits(requests, misses);
-
-        auto work = [&](const std::vector<std::size_t> &unit) {
-            // Top-level span over the whole unit, so lane set-up and
-            // metrics finalization around the nested simulate /
-            // gang-replay spans still count toward footer coverage;
-            // its *self* time is exactly that per-unit overhead.
-            EngineSpan wspan(
-                "run-unit",
-                strprintf("%s x%zu",
-                          requests[unit.front()].profile.name.c_str(),
-                          unit.size()));
-            if (unit.size() == 1) {
-                const RunRequest &r = requests[unit.front()];
-                System sys(r.spec, r.profile, r.length);
-                ObsConfig cfg = r.obs;
-                cfg.run_cache_bypassed = opts.use_cache && cfg.enabled();
-                sys.enableObservability(cfg);
-                results[unit.front()] = sys.runAll();
-                return;
-            }
-            std::vector<std::unique_ptr<System>> systems;
-            systems.reserve(unit.size());
-            std::vector<System *> group;
-            group.reserve(unit.size());
-            for (std::size_t idx : unit) {
-                const RunRequest &r = requests[idx];
-                systems.push_back(std::make_unique<System>(
-                    r.spec, r.profile, r.length));
-                ObsConfig cfg = r.obs;
-                cfg.run_cache_bypassed = opts.use_cache && cfg.enabled();
-                systems.back()->enableObservability(cfg);
-                group.push_back(systems.back().get());
-            }
-            // Falls back to per-system runAll() when ineligible
-            // (e.g. NURAPID_DISTILL=0 left no shared stream).
-            std::vector<RunMetrics> gang_results =
-                GangReplayer::runAll(group);
-            for (std::size_t j = 0; j < unit.size(); ++j)
-                results[unit[j]] = std::move(gang_results[j]);
+        auto work = [&](std::size_t idx) {
+            const RunRequest &r = requests[idx];
+            // Top-level span over the whole run, so System set-up and
+            // metrics finalization around the nested simulate span
+            // still count toward footer coverage; its *self* time is
+            // exactly that per-run overhead.
+            EngineSpan wspan("run-unit", r.profile.name);
+            System sys(r.spec, r.profile, r.length);
+            ObsConfig cfg = r.obs;
+            cfg.run_cache_bypassed = opts.use_cache && cfg.enabled();
+            sys.enableObservability(cfg);
+            results[idx] = sys.runAll();
         };
 
-        const unsigned jobs = jobsFor(units.size());
+        const unsigned jobs = jobsFor(misses.size());
         if (jobs <= 1) {
-            for (const auto &unit : units)
-                work(unit);
+            for (std::size_t idx : misses)
+                work(idx);
         } else {
             // Touch the shared const singletons (SRAM model, tech
             // point, workload table) on this thread; workers then only
@@ -202,9 +128,9 @@ RunEngine::runMany(const std::vector<RunRequest> &requests)
                 pool.emplace_back([&] {
                     for (;;) {
                         const std::size_t k = next.fetch_add(1);
-                        if (k >= units.size())
+                        if (k >= misses.size())
                             break;
-                        work(units[k]);
+                        work(misses[k]);
                     }
                 });
             }

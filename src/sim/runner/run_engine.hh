@@ -4,10 +4,12 @@
  * simulations out over a thread pool and memoizes finished runs.
  *
  * Every run is an isolated System — its own cache organization, core
- * model, synthetic trace, and explicitly-seeded RNGs — so runs share no
+ * model and explicitly-seeded RNGs, replaying a read-only packed or
+ * distilled stream from the process-wide registries — so runs share no
  * mutable state and jobs=N produces bit-identical RunMetrics to the
  * serial jobs=1 path (verified by tests/test_runner.cc and a TSan
- * build, -DNURAPID_SANITIZE=thread).
+ * build, -DNURAPID_SANITIZE=thread). A batch is plain batching: one
+ * System per cache-missed request, fanned out over the pool.
  *
  * Thread-safety audit of the shared state a worker touches:
  *  - sharedSramModel() (sim/system.cc) and TechParams::the70nm() are
@@ -16,9 +18,12 @@
  *    construction. The engine additionally touches them once before
  *    spawning workers so no worker pays the init path.
  *  - workloadSuite() (trace/profiles.cc) is a const magic static.
- *  - Rng state lives in per-System objects (SyntheticTrace, the
- *    NuRAPID distance replacer, per-cache replacement policies), all
- *    seeded from the spec/profile, never from a global.
+ *  - Rng state lives in per-System objects (the NuRAPID distance
+ *    replacer, per-cache replacement policies) and in each stream's
+ *    generator, all seeded from the spec/profile, never from a global.
+ *  - The packed/distilled trace registries (trace/packed_trace.hh,
+ *    trace/distilled_trace.hh) build each stream once under a lock and
+ *    hand out shared const buffers.
  *  - logging's inform/warn write whole lines with one fprintf; workers
  *    do not log on the simulation fast path.
  *
@@ -26,16 +31,6 @@
  *  - NURAPID_JOBS     worker count; 0/unset = hardware_concurrency().
  *  - NURAPID_RUN_CACHE  path of a JSON cache file shared across
  *    binaries; loaded on engine construction, saved after every batch.
- *  - NURAPID_GANG=0   disable gang replay (one traversal per run, as
- *    before); NURAPID_GANG_WIDTH caps lanes per gang. Both are part of
- *    the run fingerprint, so gang/no-gang caches never mix.
- *
- * Gang scheduling: cache misses inside one batch that share a workload
- * profile and phase lengths (gangGroupKey) become one work unit; the
- * unit builds every lane's System and hands the group to
- * GangReplayer::runAll, which walks the shared distilled stream once
- * for all of them. Results stay bit-identical to the per-run path
- * (modulo wall_seconds) and are cached per-config exactly as before.
  */
 
 #ifndef NURAPID_SIM_RUNNER_RUN_ENGINE_HH
@@ -76,11 +71,7 @@ struct RunEngineOptions
     /** JSON cache file shared across binaries; empty = in-process only. */
     std::string cache_file;
 
-    /** Gang-replay scheduling; part of every run's cache fingerprint. */
-    GangMode gang{};
-
-    /** Reads NURAPID_JOBS, NURAPID_RUN_CACHE, NURAPID_GANG and
-     *  NURAPID_GANG_WIDTH. */
+    /** Reads NURAPID_JOBS and NURAPID_RUN_CACHE. */
     static RunEngineOptions fromEnv();
 };
 
@@ -107,10 +98,8 @@ class RunEngine
 
     /**
      * Runs the cross product specs x suite in one batch and returns
-     * result[i][j] for (specs[i], suite[j]). Submitting all
-     * organizations together is what lets the engine gang the runs of
-     * one workload into a single stream traversal — per-organization
-     * runSuite calls never see the siblings.
+     * result[i][j] for (specs[i], suite[j]), so every organization's
+     * misses share one worker pool instead of one pool per suite.
      */
     std::vector<std::vector<RunMetrics>>
     runSuites(const std::vector<OrgSpec> &specs,
@@ -142,12 +131,6 @@ class RunEngine
     std::atomic<std::uint64_t> hits{0};
     std::atomic<double> saved{0.0};
     std::atomic<double> simSecs{0.0};
-
-    /** Packs cache-missed request indices into gang work units (see
-     *  file comment); singleton units when gang replay is off. */
-    std::vector<std::vector<std::size_t>>
-    gangUnits(const std::vector<RunRequest> &requests,
-              const std::vector<std::size_t> &misses) const;
 
     static void atomicAdd(std::atomic<double> &target, double delta);
 };

@@ -4,8 +4,8 @@
  * sweep machinery (not the simulated system).
  *
  * PRs 8-9 missed perf targets partly because nothing attributed a
- * sweep's host wall time: was it trace pregen, distill decode, gang
- * replay, or the run cache? EngineTrace records host-time spans
+ * sweep's host wall time: was it trace pregen, distill decode,
+ * simulation, or the run cache? EngineTrace records host-time spans
  * around those stages and emits
  *
  *  - a Chrome/Perfetto trace with one track per engine worker thread

@@ -64,17 +64,15 @@ System::System(const OrgSpec &org, const WorkloadProfile &profile,
       l1iCache(l1iOrg()), l1dCache(l1dOrg()),
       coreModel(std::make_unique<OooCore>(
           withWorkloadCpi(core_params, profile), l1iCache, l1dCache,
-          *lowerMem)),
-      trace(profile)
+          *lowerMem))
 {
-    if (packedTraceEnabled()) {
-        EngineSpan span("trace-pregen", "pregen " + profile.name);
-        packed = sharedPackedTrace(
-            profile, length.warmup_records + length.measure_records);
-    }
     const std::uint64_t total =
         length.warmup_records + length.measure_records;
-    if (packed && total > 0 && distillEnabled()) {
+    {
+        EngineSpan span("trace-pregen", "pregen " + profile.name);
+        packed = sharedPackedTrace(profile, total);
+    }
+    if (total > 0 && distillEnabled()) {
         // The cuts are the segment boundaries runAll()'s phases stop
         // at; folded counters are exact there, so resetStats() between
         // warmup and measure sees the same state as the live loop.
@@ -100,11 +98,6 @@ System::runRecords(std::uint64_t records)
 {
     if (records == 0)
         return;
-    if (!packed) {
-        NURAPID_PROFILE_SCOPE(Core);
-        coreModel->run(trace, records);
-        return;
-    }
     if (distilled) {
         const std::uint64_t end = consumed + records;
         if (end <= distilled->size() && distilled->isCut(end)) {
@@ -177,7 +170,7 @@ System::enableObservability(const ObsConfig &cfg)
 }
 
 void
-System::attachObserversForMeasure()
+System::measure()
 {
     if (obsSink && !obsAttached) {
         lowerMem->attachObserver(obsSink.get());
@@ -186,12 +179,6 @@ System::attachObserversForMeasure()
             obsRec->begin();
         obsAttached = true;
     }
-}
-
-void
-System::measure()
-{
-    attachObserversForMeasure();
     runRecords(length.measure_records);
 }
 

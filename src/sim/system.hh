@@ -17,7 +17,6 @@
 #include "sim/obs/obs.hh"
 #include "trace/distilled_trace.hh"
 #include "trace/packed_trace.hh"
-#include "trace/synthetic.hh"
 
 namespace nurapid {
 
@@ -95,19 +94,10 @@ class System
     SetAssocCache &l1d() { return l1dCache; }
 
   private:
-    /** The gang replayer (sim/gang.hh) runs groups of Systems that
-     *  share one distilled stream through a single traversal; it
-     *  drives the same warmup/measure phase sequence runAll() does. */
-    friend class GangReplayer;
-
     /** Feeds the next @p records workload records through the core via
-     *  the devirtualized per-organization loop (or the live-generation
-     *  fallback when NURAPID_TRACE_PREGEN=0). */
+     *  the devirtualized per-organization loop: distilled replay, or
+     *  the packed-record loop when NURAPID_DISTILL=0. */
     void runRecords(std::uint64_t records);
-
-    /** The attach half of measure(): arms the sink/recorder once, at
-     *  measurement start (also called by the gang replayer). */
-    void attachObserversForMeasure();
 
     OrgSpec spec;
     WorkloadProfile prof;
@@ -116,9 +106,8 @@ class System
     SetAssocCache l1iCache;
     SetAssocCache l1dCache;
     std::unique_ptr<OooCore> coreModel;
-    SyntheticTrace trace;  //!< live-generation fallback stream
-    /** Shared pre-generated stream (null when pre-generation is off)
-     *  and the count of records this system has consumed from it. */
+    /** Shared pre-generated stream and the count of records this
+     *  system has consumed from it. */
     std::shared_ptr<const PackedTrace> packed;
     std::uint64_t consumed = 0;
     /** Shared distilled L2-event stream (null when distillation is
@@ -165,9 +154,7 @@ std::vector<RunMetrics> runSuite(const OrgSpec &org,
 
 /**
  * Runs several organizations over one workload suite as a single
- * engine batch, so the gang scheduler can fold same-workload runs
- * across organizations into one stream traversal (sim/gang.hh).
- * Result [i][j] is organization i on suite workload j.
+ * engine batch. Result [i][j] is organization i on suite workload j.
  */
 std::vector<std::vector<RunMetrics>>
 runSuites(const std::vector<OrgSpec> &specs,

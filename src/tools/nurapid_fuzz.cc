@@ -6,7 +6,6 @@
  *   nurapid_fuzz [--iters N] [--seed S] [--target SUBSTR]
  *                [--conservation N] [--dump-dir DIR] [--list]
  *   nurapid_fuzz --replay FILE --target NAME
- *   nurapid_fuzz --gang [--iters N] [--seed S]
  *
  * Without --replay, runs the whole fuzz matrix (see fuzzTargetMatrix);
  * --target keeps only targets whose name contains SUBSTR. A mismatch
@@ -16,13 +15,6 @@
  * --replay re-executes a dumped .trace against the named target
  * (exact match) and reports the first mismatch, for debugging a
  * failure the fuzzer found.
- *
- * --gang switches to the gang-replay differential target
- * (testing/gang_differ.hh): each iteration fuzzes a workload stream
- * plus a random gang of organizations and phase lengths, runs it
- * through the per-org and gang paths, and diffs metrics and the full
- * eviction/dirty-bit event stream; failures are ddmin-minimized. A
- * failing scenario reproduces with --gang --seed <reported> --iters 1.
  */
 
 #include <cstdio>
@@ -33,7 +25,6 @@
 
 #include "common/logging.hh"
 #include "testing/fuzzer.hh"
-#include "testing/gang_differ.hh"
 #include "trace/trace_file.hh"
 
 using namespace nurapid;
@@ -46,9 +37,8 @@ usage(const char *argv0)
     std::fprintf(stderr,
                  "usage: %s [--iters N] [--seed S] [--target SUBSTR]\n"
                  "          [--conservation N] [--dump-dir DIR] [--list]\n"
-                 "       %s --replay FILE --target NAME\n"
-                 "       %s --gang [--iters N] [--seed S]\n",
-                 argv0, argv0, argv0);
+                 "       %s --replay FILE --target NAME\n",
+                 argv0, argv0);
 }
 
 std::vector<TraceRecord>
@@ -73,7 +63,6 @@ main(int argc, char **argv)
     std::string dump_dir = ".";
     std::string replay_path;
     bool list_only = false;
-    bool gang_mode = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -97,8 +86,6 @@ main(int argc, char **argv)
             dump_dir = value();
         } else if (arg == "--replay") {
             replay_path = value();
-        } else if (arg == "--gang") {
-            gang_mode = true;
         } else if (arg == "--list") {
             list_only = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -113,26 +100,6 @@ main(int argc, char **argv)
     fatal_if(cfg.iterations == 0, "--iters must be positive");
     fatal_if(cfg.conservation_interval == 0,
              "--conservation must be positive");
-
-    if (gang_mode) {
-        GangFuzzConfig gcfg;
-        gcfg.seed = cfg.seed;
-        gcfg.iterations = cfg.iterations;
-        gcfg.progress = true;
-        const GangFuzzResult result = gangFuzz(gcfg);
-        if (result.passed) {
-            std::printf("PASS gang-replay differential: %llu scenarios "
-                        "clean\n",
-                        static_cast<unsigned long long>(
-                            result.scenarios));
-            return 0;
-        }
-        std::printf("FAIL gang-replay differential at scenario seed "
-                    "%llu\n     %s\n     minimized: %s\n",
-                    static_cast<unsigned long long>(result.failing_seed),
-                    result.message.c_str(), result.minimized.c_str());
-        return 1;
-    }
 
     const std::vector<FuzzTarget> matrix = fuzzTargetMatrix();
 

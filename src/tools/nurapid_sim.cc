@@ -28,7 +28,6 @@
 
 #include "common/logging.hh"
 #include "common/table.hh"
-#include "sim/gang.hh"
 #include "sim/runner/run_cache.hh"
 #include "sim/runner/run_engine.hh"
 #include "sim/runner/span_trace.hh"
@@ -51,8 +50,7 @@ usage(const char *argv0)
         "                         NURAPID_JOBS or hardware concurrency)\n"
         "  --org KIND             base | dnuca | snuca | sa-place |\n"
         "                         nurapid; 'all' (with --suite) runs\n"
-        "                         every organization in one batch, so\n"
-        "                         the engine gang-schedules them\n"
+        "                         every organization in one batch\n"
         "  --dgroups N            NuRAPID d-groups (2/4/8; default 4)\n"
         "  --promotion P          demotion-only | next-fastest | fastest\n"
         "  --distance-repl R      random | lru | tree-plru\n"
@@ -62,17 +60,11 @@ usage(const char *argv0)
         "  --search S             D-NUCA: multicast | ss-performance |\n"
         "                         ss-energy\n"
         "  --scale X              scale simulation length (default 1.0)\n"
-        "  --gang on|off          gang replay: drive every organization\n"
-        "                         sharing a distilled stream through one\n"
-        "                         traversal (default on; same as\n"
-        "                         NURAPID_GANG)\n"
         "  --dump-cache FILE      print a normalized view of the run\n"
-        "                         cache at FILE and exit: gang-mode key\n"
-        "                         fields stripped, wall_seconds zeroed,\n"
-        "                         sorted — two caches produced with\n"
-        "                         --gang on and --gang off compare\n"
-        "                         byte-equal iff the runs were\n"
-        "                         bit-identical\n"
+        "                         cache at FILE and exit: wall_seconds\n"
+        "                         zeroed, sorted by key — two caches\n"
+        "                         compare byte-equal iff their runs\n"
+        "                         were bit-identical\n"
         "  --stats                dump full statistic groups\n"
         "  --trace-out FILE       write the typed event stream (hits,\n"
         "                         misses, promotions, demotions, swaps,\n"
@@ -87,8 +79,8 @@ usage(const char *argv0)
         "                         (default: NURAPID_OBS_INTERVAL or "
         "65536)\n"
         "  --engine-trace-out F   record host-time engine spans (trace\n"
-        "                         pregen, distill decode, gang replay,\n"
-        "                         run-cache probe/store, per-config\n"
+        "                         pregen, distill decode, run-cache\n"
+        "                         probe/store, per-config\n"
         "                         simulate) into a Chrome trace at F\n"
         "                         (one track per worker thread) and\n"
         "                         print an [engine] wall-time footer;\n"
@@ -105,20 +97,7 @@ usage(const char *argv0)
         "                          memoization cache (JSON)\n"
         "  NURAPID_TRACE_CACHE_DIR on-disk packed/distilled trace cache\n"
         "                          directory\n"
-        "  NURAPID_TRACE_PREGEN    0 disables trace pre-generation\n"
-        "                          (per-record live generation instead)\n"
         "  NURAPID_DISTILL         0 disables distilled L2-event replay\n"
-        "  NURAPID_GANG            0 disables gang replay (per-org runs)\n"
-        "  NURAPID_GANG_WIDTH      max organizations per gang\n"
-        "                          (0/unset = unlimited)\n"
-        "  NURAPID_GANG_BLOCK      events per gang interleave block\n"
-        "  NURAPID_GANG_SCHED      footprint (default) tiles lanes into\n"
-        "                          LLC-sized cohorts; naive = one cohort\n"
-        "  NURAPID_GANG_LLC_BYTES  host-LLC budget per cohort\n"
-        "                          (default 24 MiB)\n"
-        "  NURAPID_PREFETCH        0 disables stream-lookahead prefetch\n"
-        "  NURAPID_PREFETCH_DIST   prefetch lookahead in events\n"
-        "                          (default 8, clamped to 1..256)\n"
         "  NURAPID_SIM_SCALE       global simulation-length multiplier\n"
         "  NURAPID_AUDIT           1 enables the invariant-audit layer\n"
         "  NURAPID_AUDIT_INTERVAL  accesses between audit sweeps\n"
@@ -210,31 +189,12 @@ parseSearch(const std::string &s, DNucaSearch &out)
     return true;
 }
 
-/** Removes one "name=value;" field from a canonical run-cache key. */
-std::string
-stripKeyField(std::string key, const std::string &name)
-{
-    const std::string prefix = name + "=";
-    std::size_t at = 0;
-    while (at < key.size()) {
-        const std::size_t semi = key.find(';', at);
-        if (semi == std::string::npos)
-            break;
-        if (key.compare(at, prefix.size(), prefix) == 0) {
-            key.erase(at, semi - at + 1);
-            continue;
-        }
-        at = semi + 1;
-    }
-    return key;
-}
-
 /**
- * Prints the run cache at @p path in a normalized, mode-independent
- * form: one "key<TAB>metrics" line per entry, gang key fields
- * stripped, wall_seconds zeroed and from_cache cleared, sorted by the
- * normalized key. scripts/check.sh diffs two of these dumps to assert
- * the gang and per-org paths produced bit-identical results.
+ * Prints the run cache at @p path in a normalized form: one
+ * "key<TAB>metrics" line per entry, wall_seconds zeroed and from_cache
+ * cleared, sorted by key. scripts/check.sh diffs two of these dumps to
+ * assert the distilled and packed-record replay paths produced
+ * bit-identical results.
  */
 int
 dumpCache(const std::string &path)
@@ -249,9 +209,7 @@ dumpCache(const std::string &path)
         RunMetrics norm = m;
         norm.wall_seconds = 0.0;
         norm.from_cache = false;
-        std::string k = stripKeyField(key, "gang");
-        k = stripKeyField(std::move(k), "gang_width");
-        lines.push_back(k + "\t" + runMetricsToJson(norm).dump());
+        lines.push_back(key + "\t" + runMetricsToJson(norm).dump());
     });
     std::sort(lines.begin(), lines.end());
     for (const auto &line : lines)
@@ -352,15 +310,6 @@ main(int argc, char **argv)
                 fatal("unknown D-NUCA search policy");
         } else if (arg == "--scale") {
             scale = parseDouble("--scale", value("--scale"), 0.0, 1e6);
-        } else if (arg == "--gang" || arg.rfind("--gang=", 0) == 0) {
-            const std::string v = arg.size() > 6 ? arg.substr(7)
-                                                 : value("--gang");
-            if (v == "on")
-                setenv("NURAPID_GANG", "1", 1);
-            else if (v == "off")
-                setenv("NURAPID_GANG", "0", 1);
-            else
-                fatal("--gang takes 'on' or 'off', not '%s'", v.c_str());
         } else if (arg == "--dump-cache") {
             return dumpCache(value("--dump-cache"));
         } else if (arg == "--stats") {
@@ -428,10 +377,8 @@ main(int argc, char **argv)
     }
 
     if (run_suite && org == "all") {
-        // One batch over every organization: the engine groups the
-        // runs of each workload into a gang (or per-org units with
-        // --gang off) — the CLI face of the gang scheduler, and what
-        // scripts/check.sh brackets for bit-identity.
+        // One batch over every organization through one engine — what
+        // scripts/check.sh dumps and diffs for bit-identity.
         RunEngineOptions eopts = RunEngineOptions::fromEnv();
         if (jobs)
             eopts.jobs = jobs;

@@ -6,7 +6,6 @@
 #include <list>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <utility>
 
 #include <fcntl.h>
@@ -394,13 +393,6 @@ dropUnusedPackedTraces()
         }
     }
     return freed;
-}
-
-bool
-packedTraceEnabled()
-{
-    const char *s = std::getenv("NURAPID_TRACE_PREGEN");
-    return s == nullptr || std::string_view(s) != "0";
 }
 
 } // namespace nurapid

@@ -15,8 +15,8 @@
  * for the life of the process so every run of the same workload —
  * including the RunEngine's concurrent workers — shares one read-only
  * buffer. Replay is record-for-record identical to SyntheticTrace
- * (asserted by tests/test_packed_trace.cc); set NURAPID_TRACE_PREGEN=0
- * to fall back to live generation.
+ * (asserted by tests/test_packed_trace.cc), so every System replays
+ * packed streams; SyntheticTrace stays as the generator behind them.
  */
 
 #ifndef NURAPID_TRACE_PACKED_TRACE_HH
@@ -203,9 +203,6 @@ std::size_t dropUnusedPackedTraces();
  *  caches (distilled streams) so they inherit trace invalidation. */
 Fingerprint packedTraceFingerprint(const WorkloadProfile &profile,
                                    std::uint64_t seed_mix);
-
-/** False when NURAPID_TRACE_PREGEN=0 disables pre-generation. */
-bool packedTraceEnabled();
 
 } // namespace nurapid
 

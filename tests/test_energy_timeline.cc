@@ -6,19 +6,17 @@
  * must equal the EnergyBreakdown fields exactly (no tolerance — the
  * snapshots copy cumulative doubles, so the telescoping epoch deltas
  * re-sum to the end-of-run totals by construction), and the timeline
- * must be identical between the live interpreter, the distilled fast
- * path and a gang replay. Also locks the run-cache bypass marker the
+ * must be identical between the live interpreter and the distilled
+ * fast path. Also locks the run-cache bypass marker the
  * exporter writes for observed runs.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "sim/gang.hh"
 #include "sim/obs/export.hh"
 #include "sim/runner/run_cache.hh"
 #include "sim/runner/run_engine.hh"
@@ -173,45 +171,6 @@ TEST(EnergyTimeline, LiveAndDistilledTimelinesAreBitIdentical)
                                  spec.description());
         EXPECT_TRUE(identicalMetrics(live.metrics, fast.metrics))
             << spec.description();
-    }
-}
-
-// Gang replay drives all lanes through one trace traversal; each
-// lane's energy timeline must match its solo run bit for bit.
-TEST(EnergyTimeline, GangReplayTimelinesMatchSoloRuns)
-{
-    if (!distillEnabled())
-        GTEST_SKIP() << "gang replay needs the distilled fast path "
-                        "(NURAPID_DISTILL=0)";
-    const SimLength len{20'000, 60'000};
-    const auto orgs = allOrgs();
-    const auto &profile = findProfile("mcf");
-    const ObsConfig cfg = metricsOnly();
-
-    std::vector<std::vector<IntervalSnapshot>> solo;
-    for (const OrgSpec &spec : orgs) {
-        System sys(spec, profile, len);
-        sys.enableObservability(cfg);
-        (void)sys.runAll();
-        solo.push_back(sys.observabilityRecorder()->timeline());
-    }
-
-    std::vector<std::unique_ptr<System>> group;
-    std::vector<System *> lanes;
-    for (const OrgSpec &spec : orgs) {
-        auto sys = std::make_unique<System>(spec, profile, len);
-        sys->enableObservability(cfg);
-        lanes.push_back(sys.get());
-        group.push_back(std::move(sys));
-    }
-    ASSERT_TRUE(GangReplayer::eligible(lanes));
-    (void)GangReplayer::runAll(lanes);
-
-    for (std::size_t i = 0; i < orgs.size(); ++i) {
-        expectSameEnergyTimeline(
-            solo[i], lanes[i]->observabilityRecorder()->timeline(),
-            orgs[i].description() + " (gang lane " + std::to_string(i) +
-                ")");
     }
 }
 

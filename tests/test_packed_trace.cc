@@ -241,26 +241,5 @@ TEST(PackedTrace, DiskCacheRoundTripIsBitIdentical)
     ::unsetenv("NURAPID_TRACE_CACHE_DIR");
 }
 
-TEST(PackedTrace, LiveGenerationFallbackIsBitIdentical)
-{
-    const SimLength len{15'000, 45'000};
-    const WorkloadProfile prof = findProfile("art");
-
-    ASSERT_TRUE(packedTraceEnabled());
-    System pregen(OrgSpec::nurapidDefault(), prof, len);
-    const RunMetrics with = pregen.runAll();
-
-    ::setenv("NURAPID_TRACE_PREGEN", "0", 1);
-    EXPECT_FALSE(packedTraceEnabled());
-    System live_sys(OrgSpec::nurapidDefault(), prof, len);
-    const RunMetrics without = live_sys.runAll();
-    ::unsetenv("NURAPID_TRACE_PREGEN");
-
-    EXPECT_TRUE(identicalMetrics(with, without))
-        << "pre-generated replay diverged from live generation "
-        << "(ipc " << with.ipc << " vs " << without.ipc << ")";
-    EXPECT_GT(with.instructions, 0u);
-}
-
 } // namespace
 } // namespace nurapid

@@ -1,36 +1,21 @@
 /**
  * @file
- * Packed rank-plane correctness and whole-system identity for the
- * hot-state shrink.
- *
- * Three layers of evidence:
- *  - RankPlane (SWAR, 4- or 8-bit fields) against RankPlaneRef (scalar
- *    bytes) and against a 64-bit stamp model — the recency encoding
- *    the plane replaced — under identical random churn, for way counts
- *    on both sides of the packed4 boundary and at the 64-way cap.
- *  - Stream-lookahead prefetch on/off must leave RunMetrics
- *    bit-identical (the hints never touch simulated state).
- *  - Footprint-cohort gang scheduling must match naive single-cohort
- *    gangs and solo runs, in metrics and per-event observability
- *    streams, even with a 1-byte LLC budget forcing one lane per
- *    cohort.
+ * Packed rank-plane correctness: RankPlane (SWAR, 4- or 8-bit fields)
+ * against a 64-bit stamp model — the recency encoding the plane
+ * replaced — under identical random churn, for way counts on both
+ * sides of the packed4 boundary and at the 64-way cap. The model's
+ * ranks (ways with a newer stamp) must match the plane's field by
+ * field, and its LRU picks decision by decision.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <memory>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
 #include "mem/rank_plane.hh"
-#include "sim/gang.hh"
-#include "sim/runner/run_cache.hh"
-#include "sim/system.hh"
-#include "trace/distilled_trace.hh"
-#include "trace/profiles.hh"
 
 namespace nurapid {
 namespace {
@@ -58,6 +43,17 @@ class StampModel
     touch(std::uint32_t set, std::uint32_t way)
     {
         stamps_[std::size_t{set} * ways_ + way] = clock_++;
+    }
+
+    /** Recency rank: how many ways hold a newer stamp (0 = MRU). */
+    std::uint32_t
+    rankOf(std::uint32_t set, std::uint32_t way) const
+    {
+        const std::uint64_t *s = &stamps_[std::size_t{set} * ways_];
+        std::uint32_t newer = 0;
+        for (std::uint32_t w = 0; w < ways_; ++w)
+            newer += s[w] > s[way];
+        return newer;
     }
 
     void
@@ -101,7 +97,6 @@ TEST(RankPlane, MatchesReferenceAndStampModelUnderChurn)
     constexpr std::uint32_t kSets = 16;
     for (const std::uint32_t ways : {2u, 4u, 8u, 16u, 17u, 64u}) {
         RankPlane plane(kSets, ways);
-        RankPlaneRef ref(kSets, ways);
         StampModel stamps(kSets, ways);
         Rng rng(0x5eedull * ways);
 
@@ -117,41 +112,33 @@ TEST(RankPlane, MatchesReferenceAndStampModelUnderChurn)
             switch (rng.below(3)) {
               case 0:
                 plane.touch(set, way);
-                ref.touch(set, way);
                 stamps.touch(set, way);
                 break;
               case 1: {
                 const std::uint32_t other = rng.below(ways);
                 plane.swapWays(set, way, other);
-                ref.swapWays(set, way, other);
                 stamps.swapWays(set, way, other);
                 break;
               }
               default: {
                 // Query-only step: full-set and random-subset LRU.
-                ASSERT_EQ(ref.lruWay(set), plane.lruWay(set))
-                    << ways << " ways, step " << step;
                 ASSERT_EQ(stamps.lruWay(set), plane.lruWay(set))
                     << ways << " ways, step " << step;
                 std::uint64_t mask =
                     (rng.below64(all) | (std::uint64_t{1} << way)) & all;
-                ASSERT_EQ(ref.lruWayMasked(set, mask),
-                          plane.lruWayMasked(set, mask))
-                    << ways << " ways, step " << step;
                 ASSERT_EQ(stamps.lruWayMasked(set, mask),
                           plane.lruWayMasked(set, mask))
                     << ways << " ways, step " << step;
                 break;
               }
             }
-            ASSERT_EQ(ref.rankOf(set, way), plane.rankOf(set, way))
+            ASSERT_EQ(stamps.rankOf(set, way), plane.rankOf(set, way))
                 << ways << " ways, step " << step;
         }
         for (std::uint32_t s = 0; s < kSets; ++s) {
             ASSERT_TRUE(plane.isPermutation(s)) << ways << " ways";
-            ASSERT_TRUE(ref.isPermutation(s)) << ways << " ways";
             for (std::uint32_t w = 0; w < ways; ++w)
-                ASSERT_EQ(ref.rankOf(s, w), plane.rankOf(s, w));
+                ASSERT_EQ(stamps.rankOf(s, w), plane.rankOf(s, w));
         }
     }
 }
@@ -175,158 +162,6 @@ TEST(RankPlane, TouchOfMruAndDeepLruIsExact)
         plane.touch(0, lru);
         EXPECT_EQ(plane.rankOf(0, lru), 0u);
         EXPECT_TRUE(plane.isPermutation(0));
-    }
-}
-
-/** The five final organizations, in sweep order. */
-std::vector<OrgSpec>
-allOrgs()
-{
-    return {OrgSpec::baseline(), OrgSpec::nurapidDefault(),
-            OrgSpec::dnucaSsPerformance(), OrgSpec::coupledSA(),
-            OrgSpec::snucaDefault()};
-}
-
-std::vector<RunMetrics>
-runSolo(const std::vector<OrgSpec> &orgs, const WorkloadProfile &profile,
-        const SimLength &length)
-{
-    std::vector<RunMetrics> out;
-    for (const auto &spec : orgs) {
-        System sys(spec, profile, length);
-        out.push_back(sys.runAll());
-    }
-    return out;
-}
-
-TEST(StreamPrefetch, OnAndOffProduceIdenticalMetrics)
-{
-    const auto &profile = findProfile("mcf");
-    const SimLength length{20'000, 60'000};
-    const auto orgs = allOrgs();
-
-    setenv("NURAPID_PREFETCH", "0", 1);
-    const auto off = runSolo(orgs, profile, length);
-    unsetenv("NURAPID_PREFETCH");
-    setenv("NURAPID_PREFETCH_DIST", "2", 1);
-    const auto near = runSolo(orgs, profile, length);
-    setenv("NURAPID_PREFETCH_DIST", "64", 1);
-    const auto far = runSolo(orgs, profile, length);
-    unsetenv("NURAPID_PREFETCH_DIST");
-
-    ASSERT_EQ(off.size(), orgs.size());
-    for (std::size_t i = 0; i < orgs.size(); ++i) {
-        EXPECT_TRUE(identicalMetrics(off[i], near[i]))
-            << orgs[i].description() << ": prefetch distance 2 changed "
-            << "the result";
-        EXPECT_TRUE(identicalMetrics(off[i], far[i]))
-            << orgs[i].description() << ": prefetch distance 64 changed "
-            << "the result";
-    }
-}
-
-std::vector<std::unique_ptr<System>>
-buildGroup(const std::vector<OrgSpec> &orgs,
-           const WorkloadProfile &profile, const SimLength &length,
-           const ObsConfig *obs = nullptr)
-{
-    std::vector<std::unique_ptr<System>> group;
-    for (const auto &spec : orgs) {
-        auto sys = std::make_unique<System>(spec, profile, length);
-        if (obs)
-            sys->enableObservability(*obs);
-        group.push_back(std::move(sys));
-    }
-    return group;
-}
-
-std::vector<System *>
-raw(const std::vector<std::unique_ptr<System>> &group)
-{
-    std::vector<System *> out;
-    for (const auto &sys : group)
-        out.push_back(sys.get());
-    return out;
-}
-
-TEST(GangCohorts, FootprintTilingMatchesNaiveAndSoloBitForBit)
-{
-    if (!distillEnabled())
-        GTEST_SKIP() << "gang replay needs the distilled fast path "
-                        "(NURAPID_DISTILL=0)";
-    const auto &profile = findProfile("art");
-    const SimLength length{20'000, 60'000};
-    const auto orgs = allOrgs();
-    const auto solo = runSolo(orgs, profile, length);
-
-    // A 1-byte budget forces one lane per cohort (the degenerate
-    // maximum re-traversal); naive is the single all-lanes cohort.
-    setenv("NURAPID_GANG_SCHED", "footprint", 1);
-    setenv("NURAPID_GANG_LLC_BYTES", "1", 1);
-    auto tiled_group = buildGroup(orgs, profile, length);
-    ASSERT_TRUE(GangReplayer::eligible(raw(tiled_group)));
-    const auto tiled = GangReplayer::runAll(raw(tiled_group));
-    unsetenv("NURAPID_GANG_LLC_BYTES");
-
-    setenv("NURAPID_GANG_SCHED", "naive", 1);
-    auto naive_group = buildGroup(orgs, profile, length);
-    const auto naive = GangReplayer::runAll(raw(naive_group));
-    unsetenv("NURAPID_GANG_SCHED");
-
-    ASSERT_EQ(tiled.size(), solo.size());
-    ASSERT_EQ(naive.size(), solo.size());
-    for (std::size_t i = 0; i < orgs.size(); ++i) {
-        EXPECT_TRUE(identicalMetrics(solo[i], tiled[i]))
-            << orgs[i].description()
-            << ": per-lane cohorts diverged from solo";
-        EXPECT_TRUE(identicalMetrics(solo[i], naive[i]))
-            << orgs[i].description()
-            << ": naive gang diverged from solo";
-    }
-}
-
-TEST(GangCohorts, ObservabilityStreamsSurviveTiling)
-{
-    if (!distillEnabled())
-        GTEST_SKIP() << "gang replay needs the distilled fast path "
-                        "(NURAPID_DISTILL=0)";
-    const auto &profile = findProfile("swim");
-    const SimLength length{0, 40'000};
-    const auto orgs = allOrgs();
-    ObsConfig obs;
-    obs.record_events = true;
-
-    auto solo = buildGroup(orgs, profile, length, &obs);
-    for (auto &sys : solo)
-        sys->runAll();
-
-    setenv("NURAPID_GANG_SCHED", "footprint", 1);
-    setenv("NURAPID_GANG_LLC_BYTES", "1", 1);
-    auto tiled = buildGroup(orgs, profile, length, &obs);
-    ASSERT_TRUE(GangReplayer::eligible(raw(tiled)));
-    GangReplayer::runAll(raw(tiled));
-    unsetenv("NURAPID_GANG_LLC_BYTES");
-    unsetenv("NURAPID_GANG_SCHED");
-
-    for (std::size_t i = 0; i < orgs.size(); ++i) {
-        const EventSink *a = solo[i]->observabilitySink();
-        const EventSink *b = tiled[i]->observabilitySink();
-        ASSERT_NE(a, nullptr);
-        ASSERT_NE(b, nullptr);
-        const auto ea = a->events();
-        const auto eb = b->events();
-        ASSERT_EQ(ea.size(), eb.size())
-            << orgs[i].description() << ": event counts differ";
-        for (std::size_t j = 0; j < ea.size(); ++j) {
-            const ObsEvent &x = ea[j];
-            const ObsEvent &y = eb[j];
-            ASSERT_TRUE(x.cycle == y.cycle && x.addr == y.addr &&
-                        x.latency == y.latency && x.kind == y.kind &&
-                        x.from == y.from && x.to == y.to &&
-                        x.flags == y.flags)
-                << orgs[i].description() << ": event " << j
-                << " diverged under cohort tiling";
-        }
     }
 }
 

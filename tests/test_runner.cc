@@ -2,18 +2,21 @@
  * @file
  * Run-engine tests: parallel determinism (jobs=4 bit-identical to
  * jobs=1 across organizations), memoization (warm cache returns
- * identical metrics without re-simulating), fingerprint stability, and
- * cache-file persistence round trips.
+ * identical metrics without re-simulating), batch layout, fingerprint
+ * stability, and cache-file persistence round trips, including stale
+ * schemas and a concurrent writer's temp file.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/json.hh"
-#include "sim/gang.hh"
 #include "sim/runner/run_engine.hh"
 #include "sim/system.hh"
 #include "trace/profiles.hh"
@@ -115,6 +118,38 @@ TEST(RunEngine, WarmCacheReturnsIdenticalMetricsWithoutSimulating)
         EXPECT_TRUE(identicalMetrics(cold[i], warm[i]));
         EXPECT_TRUE(warm[i].from_cache);
     }
+}
+
+TEST(RunEngine, RunSuitesMatchesPerRequestRunOne)
+{
+    // runSuites is plain batching: one batch over specs x suite must
+    // return exactly what one runOne per request returns, laid out as
+    // result[spec][profile].
+    const std::vector<OrgSpec> specs = {
+        OrgSpec::baseline(),
+        OrgSpec::nurapidDefault(),
+        OrgSpec::dnucaSsPerformance(),
+    };
+    const std::vector<WorkloadProfile> suite = {findProfile("mcf"),
+                                                findProfile("art")};
+
+    RunEngine batch(uncached(2));
+    const auto grid = batch.runSuites(specs, suite, tinyLength());
+    ASSERT_EQ(grid.size(), specs.size());
+    RunEngine single(uncached(1));
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        ASSERT_EQ(grid[i].size(), suite.size());
+        for (std::size_t j = 0; j < suite.size(); ++j) {
+            const RunMetrics one =
+                single.runOne(specs[i], suite[j], tinyLength());
+            EXPECT_EQ(grid[i][j].organization, specs[i].description());
+            EXPECT_EQ(grid[i][j].workload, suite[j].name);
+            EXPECT_TRUE(identicalMetrics(grid[i][j], one))
+                << specs[i].description() << " / " << suite[j].name
+                << ": batched run diverged from runOne";
+        }
+    }
+    EXPECT_EQ(batch.simulatedRuns(), specs.size() * suite.size());
 }
 
 TEST(RunEngine, CacheFilePersistsAcrossEngines)
@@ -226,42 +261,6 @@ TEST(RunCache, DigestCollisionDegradesToMiss)
         << "colliding digest returned the wrong run's metrics";
 }
 
-TEST(RunCache, GangModeSeparatesCacheKeys)
-{
-    // Results produced by the gang replayer and the per-org path are
-    // bit-identical by contract, but the cache must never be the thing
-    // asserting that: a cache populated under one mode has to miss for
-    // the other, so a --gang off verification run really re-simulates.
-    const auto &prof = findProfile("applu");
-    GangMode on;
-    GangMode off;
-    off.enabled = false;
-
-    const auto k_on = fingerprintRun(OrgSpec::baseline(), prof,
-                                     tinyLength(), on);
-    const auto k_off = fingerprintRun(OrgSpec::baseline(), prof,
-                                      tinyLength(), off);
-    EXPECT_NE(k_on.key, k_off.key);
-    EXPECT_NE(k_on.digest, k_off.digest);
-
-    // The gang width changes scheduling, so it separates keys too.
-    GangMode capped;
-    capped.width_cap = 2;
-    EXPECT_NE(fingerprintRun(OrgSpec::baseline(), prof, tinyLength(),
-                             capped).key, k_on.key);
-
-    RunMetrics m;
-    m.workload = "applu";
-    m.ipc = 1.0;
-    RunCache cache;
-    cache.store(k_on, m);
-
-    RunMetrics out;
-    EXPECT_TRUE(cache.lookup(k_on, out));
-    EXPECT_FALSE(cache.lookup(k_off, out))
-        << "gang-mode cache entry served to a gang-off lookup";
-}
-
 TEST(RunCache, TamperedPersistedKeyDegradesToMiss)
 {
     // A cache file whose stored key was corrupted (bit rot, manual
@@ -334,6 +333,84 @@ TEST(RunCache, CorruptFileIsIgnored)
 
     // Missing file: silently empty.
     EXPECT_EQ(cache.loadFile("does_not_exist_12345.json"), 0u);
+
+    // A well-formed file from an older schema (here 1, whose keys
+    // predate the current result-changing model fixes) is ignored, and
+    // an engine reading it recomputes the run instead of serving it.
+    const RunRequest req{OrgSpec::baseline(), findProfile("applu"),
+                         tinyLength()};
+    RunMetrics stale;
+    stale.workload = "applu";
+    stale.ipc = 123.0;
+    {
+        RunCache fresh;
+        fresh.store(fingerprintRun(req.spec, req.profile, req.length),
+                    stale);
+        ASSERT_TRUE(fresh.saveFile(path));
+    }
+    std::string text;
+    {
+        std::ifstream in(path);
+        std::stringstream ss;
+        ss << in.rdbuf();
+        text = ss.str();
+    }
+    Json root = Json::parse(text);
+    ASSERT_TRUE(root.isObject());
+    root.set("schema", Json(std::uint64_t{1}));
+    {
+        std::ofstream out(path, std::ios::trunc);
+        out << root.dump();
+    }
+    EXPECT_EQ(RunCache().loadFile(path), 0u)
+        << "schema-1 cache file was served";
+
+    RunEngineOptions opts;
+    opts.jobs = 1;
+    opts.cache_file = path;
+    RunEngine engine(opts);
+    const RunMetrics got = engine.runOne(req.spec, req.profile, req.length);
+    EXPECT_EQ(engine.simulatedRuns(), 1u);
+    EXPECT_EQ(engine.cacheHits(), 0u);
+    EXPECT_NE(got.ipc, stale.ipc);
+    std::remove(path.c_str());
+}
+
+TEST(RunCache, SaveSurvivesAnotherWritersTempFile)
+{
+    // Another process mid-save owns its temp file; a directory at the
+    // legacy shared temp name stands in for it (no file can be opened
+    // there). Saves must use a per-process temp name and still land.
+    const std::string path = "test_runner_concurrent.json";
+    const std::string other_tmp = path + ".tmp";
+    std::remove(path.c_str());
+    std::filesystem::remove_all(other_tmp);
+    ASSERT_TRUE(std::filesystem::create_directory(other_tmp));
+
+    RunCache cache;
+    for (const char *name : {"applu", "mcf", "gzip"}) {
+        RunMetrics m;
+        m.workload = name;
+        m.ipc = 0.75;
+        cache.store(fingerprintRun(OrgSpec::baseline(), findProfile(name),
+                                   tinyLength()),
+                    m);
+    }
+    EXPECT_TRUE(cache.saveFile(path));
+
+    RunCache reloaded;
+    EXPECT_EQ(reloaded.loadFile(path), cache.size());
+    for (const char *name : {"applu", "mcf", "gzip"}) {
+        RunMetrics out;
+        EXPECT_TRUE(reloaded.lookup(
+            fingerprintRun(OrgSpec::baseline(), findProfile(name),
+                           tinyLength()),
+            out))
+            << name;
+        EXPECT_EQ(out.workload, name);
+    }
+    std::filesystem::remove_all(other_tmp);
+    std::remove(path.c_str());
 }
 
 } // namespace
