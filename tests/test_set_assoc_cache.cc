@@ -1,5 +1,7 @@
 /** @file Unit tests for the generic set-associative cache. */
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
@@ -104,6 +106,16 @@ struct OrgCase
     std::uint32_t block;
     ReplPolicy repl;
 };
+
+// Names each case by its fields. Without this gtest prints the raw
+// bytes, padding included, so the test names would change between
+// builds.
+void
+PrintTo(const OrgCase &c, std::ostream *os)
+{
+    *os << "assoc" << c.assoc << "_cap" << c.capacity << "_block"
+        << c.block << "_" << replPolicyName(c.repl);
+}
 
 class CachePropertyTest : public ::testing::TestWithParam<OrgCase>
 {
