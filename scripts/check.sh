@@ -1,23 +1,24 @@
 #!/usr/bin/env sh
-# Full correctness gate: builds the simulator under four compiler
+# Full correctness gate: builds the simulator under three compiler
 # configurations and runs the tier-1 unit suite plus a 10k-iteration
 # differential-fuzz smoke (audit hooks compiled in and forced on) under
 # each:
 #
-#   release  RelWithDebInfo, audit hooks compiled in
+#   release  RelWithDebInfo, audit hooks compiled in. Also runs the
+#            tier-1 suite again with the live per-record loop
+#            (NURAPID_DISTILL=0), the observability and engine-trace
+#            smokes, and a short cold sweep of all 17 bench binaries
+#            twice, distilled and live: the two sweeps must leave
+#            bit-identical 267-entry run caches, and the distilled
+#            sweep's [engine] footers must cover >= 95% of its wall
 #   asan     AddressSanitizer + UndefinedBehaviorSanitizer
 #   tsan     ThreadSanitizer (checks the parallel run engine)
-#   profile  RelWithDebInfo + -DNURAPID_PROFILE=ON (cycle-budget
-#            profiler compiled into the hot paths), plus a perf-smoke
-#            stage: a short cold sweep (engine-span tracing attached,
-#            footer coverage asserted) that must print the profiler
-#            footer, finish with a populated 267-entry run cache
-#            bit-identical between the distilled and live replays,
-#            and stay within 25% of this host's recorded wall-time
-#            baselines (per-bench and whole-sweep)
+#
+# Host time is not gated here: perfbench/ measures it end to end and
+# per layer (python3 perfbench/run.py; see perfbench/README.md).
 #
 # Usage:
-#   scripts/check.sh [--fuzz-iters N] [--configs "release asan tsan profile"]
+#   scripts/check.sh [--fuzz-iters N] [--configs "release asan tsan"]
 #
 # Build trees live in build-check-<config>/ so the default build/ tree
 # is never disturbed. Exits non-zero on the first failure.
@@ -25,7 +26,7 @@
 set -eu
 
 fuzz_iters=10000
-configs="release asan tsan profile"
+configs="release asan tsan"
 while [ $# -gt 0 ]; do
     case "$1" in
       --fuzz-iters)
@@ -33,7 +34,11 @@ while [ $# -gt 0 ]; do
       --configs)
         configs="$2"; shift 2 ;;
       -h|--help)
-        sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
+        # The whole header comment: every line after the shebang up
+        # to the first non-comment line.
+        awk 'NR > 1 && !/^#/ { exit } NR > 1 { sub(/^# ?/, ""); print }' \
+            "$0"
+        exit 0 ;;
       *)
         echo "unknown option '$1' (see --help)" >&2; exit 2 ;;
     esac
@@ -65,7 +70,6 @@ for config in $configs; do
       release) flags="-DCMAKE_BUILD_TYPE=RelWithDebInfo" ;;
       asan)    flags="-DNURAPID_SANITIZE=address,undefined" ;;
       tsan)    flags="-DNURAPID_SANITIZE=thread" ;;
-      profile) flags="-DCMAKE_BUILD_TYPE=RelWithDebInfo -DNURAPID_PROFILE=ON" ;;
       *)
         echo "unknown config '$config'" >&2; exit 2 ;;
     esac
@@ -173,194 +177,79 @@ for config in $configs; do
             echo "engine trace: span coverage below 95%" \
                  "(see $trace_dir/engine.log)" >&2
             exit 1; }
-    fi
 
-    echo "=== [$config] fuzz smoke ($fuzz_iters iters, audits on) ==="
-    NURAPID_AUDIT=1 NURAPID_AUDIT_INTERVAL=512 \
-        "$dir/src/tools/nurapid_fuzz" --iters "$fuzz_iters" \
-        --dump-dir "$dir"
-
-    if [ "$config" = "profile" ]; then
-        echo "=== [$config] perf smoke (short cold sweep, profiler on) ==="
-        smoke_cache="$dir/perf_smoke_cache.json"
-        rm -f "$smoke_cache"
-        # Drop cached distilled streams so the smoke always pays (and
-        # profiles) the distillation itself, not just an mmap load.
+        # Short cold sweep: all 17 bench binaries at scale 0.05 with a
+        # fresh run cache, engine-span tracing attached. Cached
+        # distilled streams are dropped first so the sweep distills
+        # rather than only mapping what the stages above left behind.
+        echo "=== [$config] cold sweep (scale 0.05, engine spans) ==="
+        sweep_cache="$dir/sweep_cache.json"
+        rm -f "$sweep_cache"
         rm -f "$dir/trace_cache"/*.dtc
-        smoke_log="$dir/perf_smoke.log"
+        sweep_log="$dir/sweep.log"
         sweep_trace="$dir/engine_sweep_trace.json"
-        (export NURAPID_SIM_SCALE=0.05 NURAPID_RUN_CACHE="$smoke_cache" &&
-            run_logged "$smoke_log" 2 \
+        (export NURAPID_SIM_SCALE=0.05 NURAPID_RUN_CACHE="$sweep_cache" &&
+            run_logged "$sweep_log" 2 \
                 sh scripts/regen_bench.sh "$dir" --quiet --repeat 1 \
                     --engine-trace-out "$sweep_trace")
-        grep -q '^\[profile\]' "$smoke_log" || {
-            echo "perf smoke: no [profile] footer in sweep output" >&2
-            exit 1
-        }
-        [ -s "$smoke_cache" ] || {
-            echo "perf smoke: sweep left no run cache" >&2
+        [ -s "$sweep_cache" ] || {
+            echo "cold sweep: sweep left no run cache" >&2
             exit 1
         }
         # All 17 bench binaries appended into one whole-sweep trace,
         # and their [engine] footers together must attribute >= 95%
         # of the sweep's summed process wall time to engine stages.
         [ -s "$sweep_trace" ] || {
-            echo "perf smoke: sweep wrote no engine trace" >&2
+            echo "cold sweep: sweep wrote no engine trace" >&2
             exit 1
         }
         awk '/^\[engine\] wall/ { gsub(/,/, ""); n++; w += $3; c += $7 }
              END { pct = w > 0 ? 100 * c / w : 0;
-                   printf "perf smoke: engine spans cover %.1f%%" \
+                   printf "cold sweep: engine spans cover %.1f%%" \
                           " of sweep wall (%d footers)\n", pct, n;
-                   exit !(n >= 17 && pct >= 95) }' "$smoke_log" || {
-            echo "perf smoke: engine footer coverage below 95% of the" \
-                 "sweep wall (see $smoke_log)" >&2
+                   exit !(n >= 17 && pct >= 95) }' "$sweep_log" || {
+            echo "cold sweep: engine footer coverage below 95% of the" \
+                 "sweep wall (see $sweep_log)" >&2
             exit 1
         }
 
-        # Distillation must show up in the profile and pay off: rerun
-        # the same short sweep with the live loop (NURAPID_DISTILL=0)
-        # and require a non-zero distill bucket plus a smaller core
-        # bucket in the distilled run.
-        echo "=== [$config] perf smoke (distill off, for comparison) ==="
-        off_cache="$dir/perf_smoke_cache_off.json"
-        rm -f "$off_cache"
-        off_log="$dir/perf_smoke_off.log"
+        # The same sweep with the live per-record loop.
+        echo "=== [$config] cold sweep (NURAPID_DISTILL=0) ==="
+        live_cache="$dir/sweep_cache_live.json"
+        rm -f "$live_cache"
         (export NURAPID_DISTILL=0 NURAPID_SIM_SCALE=0.05 \
-            NURAPID_RUN_CACHE="$off_cache" &&
-            run_logged "$off_log" 1 \
+            NURAPID_RUN_CACHE="$live_cache" &&
+            run_logged "$dir/sweep_live.log" 1 \
                 sh scripts/regen_bench.sh "$dir" --quiet --repeat 1)
-        # Sums a named footer bucket ("distill 0.123s" ...) over every
-        # [profile] line in a log. Values inside the parenthesized
-        # core breakdown carry trailing punctuation ("0.123s)"), so
-        # strip everything non-numeric.
-        bucket_sum() {
-            grep '^\[profile\]' "$1" | awk -v key="$2" '
-                { for (i = 1; i < NF; i++)
-                      if ($i == key) { v = $(i + 1);
-                                       gsub(/[^0-9.]/, "", v);
-                                       s += v } }
-                END { printf "%.3f", s }'
-        }
-        distill_s=$(bucket_sum "$smoke_log" distill)
-        core_on_s=$(bucket_sum "$smoke_log" core)
-        core_off_s=$(bucket_sum "$off_log" core)
-        recency_s=$(bucket_sum "$smoke_log" recency)
-        echo "perf smoke: distill ${distill_s}s," \
-             "core ${core_on_s}s (distilled) vs ${core_off_s}s (live)"
-        awk -v d="$distill_s" 'BEGIN { exit !(d > 0) }' || {
-            echo "perf smoke: no Distill bucket in the profile" >&2
-            exit 1
-        }
-        awk -v on="$core_on_s" -v off="$core_off_s" \
-            'BEGIN { exit !(on < off) }' || {
-            echo "perf smoke: distilled core bucket (${core_on_s}s) did" \
-                 "not shrink vs live (${core_off_s}s)" >&2
-            exit 1
-        }
-        # The packed rank planes carry their own footer slice; a zero
-        # bucket means the recency probes fell off the hot paths.
-        echo "perf smoke: recency bucket ${recency_s}s"
-        awk -v r="$recency_s" 'BEGIN { exit !(r > 0) }' || {
-            echo "perf smoke: no Recency bucket in the profile" >&2
-            exit 1
-        }
 
         # Sweep dump-cache identity: the distilled and live sweeps
-        # above simulated the same 267 configurations; their caches
-        # must be bit-identical modulo wall_seconds (--dump-cache
-        # zeroes it), or a replay path diverged somewhere the unit
-        # suite did not reach.
+        # simulated the same 267 configurations; their caches must be
+        # bit-identical modulo wall_seconds (--dump-cache zeroes it),
+        # or a replay path diverged somewhere the unit suite did not
+        # reach.
         echo "=== [$config] sweep dump-cache identity (267 configs) ==="
-        "$dir/src/tools/nurapid_sim" --dump-cache "$smoke_cache" \
-            > "$dir/sweep_on.dump"
-        "$dir/src/tools/nurapid_sim" --dump-cache "$off_cache" \
-            > "$dir/sweep_off.dump"
-        cmp -s "$dir/sweep_on.dump" "$dir/sweep_off.dump" || {
+        "$dir/src/tools/nurapid_sim" --dump-cache "$sweep_cache" \
+            > "$dir/sweep_distilled.dump"
+        "$dir/src/tools/nurapid_sim" --dump-cache "$live_cache" \
+            > "$dir/sweep_live.dump"
+        cmp -s "$dir/sweep_distilled.dump" "$dir/sweep_live.dump" || {
             echo "sweep identity: distilled and live sweeps left" \
-                 "different caches (diff $dir/sweep_on.dump" \
-                 "$dir/sweep_off.dump)" >&2
+                 "different caches (diff $dir/sweep_distilled.dump" \
+                 "$dir/sweep_live.dump)" >&2
             exit 1
         }
-        sweep_entries=$(grep -o '"key"' "$smoke_cache" | wc -l)
+        sweep_entries=$(grep -o '"key"' "$sweep_cache" | wc -l)
         [ "$sweep_entries" -eq 267 ] || {
             echo "sweep identity: expected 267 unique configurations," \
                  "cache holds $sweep_entries" >&2
             exit 1
         }
-
-        # Wall-time ratchet on representative sim-driven benches: more
-        # than 25% over this host's recorded baseline fails the gate.
-        # The baseline files are per-host so numbers from different
-        # machines never compare against each other; each is recorded
-        # on first run and ratcheted downward on improvement. Delete
-        # one to re-baseline after an intentional slowdown.
-        # bench_ablation_pointers exercises the NuRAPID pointer planes;
-        # bench_lru_approximation hammers exactly the recency state the
-        # packed rank planes replaced.
-        guard_dir="scripts/perf-baselines"
-        mkdir -p "$guard_dir"
-        for guard_bench in bench_ablation_pointers \
-                           bench_lru_approximation; do
-            echo "=== [$config] perf guard ($guard_bench) ==="
-            guard_file="$guard_dir/$guard_bench.$(uname -n).s"
-            guard_log="$dir/perf_guard_$guard_bench.log"
-            guard_t0=$(date +%s.%N)
-            (export NURAPID_SIM_SCALE=0.05 &&
-                run_logged "$guard_log" 1 \
-                    "$dir/bench/$guard_bench")
-            guard_t1=$(date +%s.%N)
-            guard_s=$(awk -v a="$guard_t0" -v b="$guard_t1" \
-                'BEGIN { printf "%.2f", b - a }')
-            if [ ! -s "$guard_file" ]; then
-                echo "$guard_s" > "$guard_file"
-                echo "perf guard: recorded baseline ${guard_s}s" \
-                     "in $guard_file"
-            else
-                guard_base=$(cat "$guard_file")
-                echo "perf guard: ${guard_s}s vs baseline ${guard_base}s"
-                awk -v s="$guard_s" -v b="$guard_base" \
-                    'BEGIN { exit !(s <= b * 1.25) }' || {
-                    echo "perf guard: $guard_bench took" \
-                         "${guard_s}s, more than 25% over the" \
-                         "${guard_base}s baseline in $guard_file" >&2
-                    exit 1
-                }
-                if awk -v s="$guard_s" -v b="$guard_base" \
-                    'BEGIN { exit !(s < b) }'; then
-                    echo "$guard_s" > "$guard_file"
-                fi
-            fi
-        done
-
-        # Same ratchet on the whole cold sweep (the first perf smoke
-        # above ran cold with engine tracing attached), so the
-        # observability layer itself can never quietly tax the sweep.
-        echo "=== [$config] perf guard (cold sweep wall) ==="
-        sweep_ms=$(grep '"total_wall_ms"' "$dir/BENCH_sweep.json" |
-            grep -o '[0-9][0-9]*')
-        sweep_guard="$guard_dir/sweep_cold.$(uname -n).ms"
-        if [ ! -s "$sweep_guard" ]; then
-            echo "$sweep_ms" > "$sweep_guard"
-            echo "perf guard: recorded cold-sweep baseline ${sweep_ms}ms" \
-                 "in $sweep_guard"
-        else
-            sweep_base=$(cat "$sweep_guard")
-            echo "perf guard: cold sweep ${sweep_ms}ms vs baseline" \
-                 "${sweep_base}ms"
-            awk -v s="$sweep_ms" -v b="$sweep_base" \
-                'BEGIN { exit !(s <= b * 1.25) }' || {
-                echo "perf guard: cold sweep took ${sweep_ms}ms, more" \
-                     "than 25% over the ${sweep_base}ms baseline in" \
-                     "$sweep_guard" >&2
-                exit 1
-            }
-            if awk -v s="$sweep_ms" -v b="$sweep_base" \
-                'BEGIN { exit !(s < b) }'; then
-                echo "$sweep_ms" > "$sweep_guard"
-            fi
-        fi
     fi
+
+    echo "=== [$config] fuzz smoke ($fuzz_iters iters, audits on) ==="
+    NURAPID_AUDIT=1 NURAPID_AUDIT_INTERVAL=512 \
+        "$dir/src/tools/nurapid_fuzz" --iters "$fuzz_iters" \
+        --dump-dir "$dir"
 done
 
 end=$(date +%s)

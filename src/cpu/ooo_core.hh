@@ -36,7 +36,6 @@
 #include "mem/mshr.hh"
 #include "mem/set_assoc_cache.hh"
 #include "sim/obs/obs.hh"
-#include "sim/profile/profile.hh"
 #include "trace/distilled_trace.hh"
 #include "trace/record.hh"
 
@@ -259,7 +258,6 @@ OooCore::missLatency(LowerT &lower_mem, Addr addr, AccessType type,
     }
 
     ++statL2Demand;
-    NURAPID_PROFILE_SCOPE(L2Org);
     const LowerMemory::Result res = lower_mem.access(block, type, now);
     if (res.hit)
         ++statL2DemandHits;
@@ -358,7 +356,6 @@ OooCore::runTyped(LowerT &lower_mem, TraceT &trace, std::uint64_t records)
 
         const SetAssocCache::Access a = l1.access(r.addr, store);
         if (a.evicted && a.evicted_dirty) {
-            NURAPID_PROFILE_SCOPE(L2Org);
             lower_mem.access(a.evicted_addr, AccessType::Writeback, now);
         }
         if (!a.hit) {
@@ -449,7 +446,6 @@ OooCore::runDistilled(LowerT &lower_mem, DistilledTrace::Cursor &cur,
                 .foldStats(0, 1, (f & DT::kL1Evict) ? 1 : 0,
                            (f & DT::kWriteback) ? 1 : 0);
             if (f & DT::kWriteback) {
-                NURAPID_PROFILE_SCOPE(L2Org);
                 lower_mem.access(e.evicted_addr, AccessType::Writeback,
                                  now);
             }

@@ -7,7 +7,6 @@
 #include "common/bitops.hh"
 #include "common/logging.hh"
 #include "mem/tag_probe.hh"
-#include "sim/profile/profile.hh"
 
 namespace nurapid {
 
@@ -88,7 +87,6 @@ DNucaCache::rowOfWay(std::uint32_t way) const
 void
 DNucaCache::touch(std::uint32_t set, std::uint32_t way)
 {
-    NURAPID_PROFILE_SCOPE(Recency);
     ranks.touch(set, way);
 }
 
@@ -106,7 +104,6 @@ DNucaCache::lruWayInRow(std::uint32_t set, std::uint32_t row) const
         return first +
             static_cast<std::uint32_t>(std::countr_zero(row_invalid));
     }
-    NURAPID_PROFILE_SCOPE(Recency);
     return ranks.lruWayMasked(set, row_bits << first);
 }
 
@@ -144,15 +141,12 @@ DNucaCache::access(Addr addr, AccessType type, Cycle now)
     // the valid bitmap also clears the padding lanes. The historical
     // scan kept the *last* matching way, hence the countl_zero reduce
     // (first and last coincide on audit-clean state anyway).
-    std::uint64_t full_match, partial_match;
-    {
-        NURAPID_PROFILE_SCOPE(Probe);
-        const std::uint64_t *row = &tagPlane[rowBase(set)];
-        full_match = probeMatch(row, wayStride, tag) & validBits[set];
-        partial_match =
-            probeMatchMasked(row, wayStride, partialMask, partial) &
-            validBits[set];
-    }
+    const std::uint64_t *row = &tagPlane[rowBase(set)];
+    const std::uint64_t full_match =
+        probeMatch(row, wayStride, tag) & validBits[set];
+    const std::uint64_t partial_match =
+        probeMatchMasked(row, wayStride, partialMask, partial) &
+        validBits[set];
     const std::uint32_t hit_way = full_match
         ? 63 - static_cast<std::uint32_t>(std::countl_zero(full_match))
         : p.assoc;

@@ -7,7 +7,6 @@
 #include "common/bitops.hh"
 #include "common/logging.hh"
 #include "mem/tag_probe.hh"
-#include "sim/profile/profile.hh"
 
 namespace nurapid {
 
@@ -61,7 +60,6 @@ CoupledNucaCache::groupOfWay(std::uint32_t way) const
 void
 CoupledNucaCache::touch(std::uint32_t set, std::uint32_t way)
 {
-    NURAPID_PROFILE_SCOPE(Recency);
     ranks.touch(set, way);
 }
 
@@ -81,7 +79,6 @@ CoupledNucaCache::lruWayInGroup(std::uint32_t set,
         return first +
             static_cast<std::uint32_t>(std::countr_zero(group_invalid));
     }
-    NURAPID_PROFILE_SCOPE(Recency);
     return ranks.lruWayMasked(set, group_bits << first);
 }
 
@@ -112,12 +109,8 @@ CoupledNucaCache::access(Addr addr, AccessType type, Cycle now)
     const std::size_t row = rowBase(set);
 
     // Tag probe across all ways (first valid match wins).
-    std::uint64_t match;
-    {
-        NURAPID_PROFILE_SCOPE(Probe);
-        match = probeMatch(&tagPlane[row], wayStride, tag) &
-            validBits[set];
-    }
+    const std::uint64_t match =
+        probeMatch(&tagPlane[row], wayStride, tag) & validBits[set];
     const std::uint32_t hit_way = match
         ? static_cast<std::uint32_t>(std::countr_zero(match))
         : p.assoc;
@@ -187,7 +180,6 @@ CoupledNucaCache::access(Addr addr, AccessType type, Cycle now)
             victim = static_cast<std::uint32_t>(
                 std::countr_zero(invalid));
         } else {
-            NURAPID_PROFILE_SCOPE(Recency);
             victim = ranks.lruWay(set);
         }
         if ((validBits[set] >> victim) & 1) {

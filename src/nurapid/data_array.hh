@@ -40,7 +40,6 @@
 #include "mem/replacement.hh"
 #include "nurapid/policies.hh"
 #include "sim/audit/audit.hh"
-#include "sim/profile/profile.hh"
 
 namespace nurapid {
 
@@ -104,7 +103,6 @@ class DataArray
     void
     touch(std::uint32_t group, std::uint32_t f)
     {
-        NURAPID_PROFILE_SCOPE(Recency);
         panic_if(!validBit(group, f), "touching invalid frame");
         unlink(group, f);
         linkFront(group, f);

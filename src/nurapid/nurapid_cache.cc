@@ -4,7 +4,6 @@
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
-#include "sim/profile/profile.hh"
 
 namespace nurapid {
 
@@ -207,11 +206,7 @@ NuRapidCache::access(Addr addr, AccessType type, Cycle now)
     ++cnt.tagProbes;
     cacheEnergy.chargeTag(times.tag_read_nj);
 
-    TagArray::Lookup look;
-    {
-        NURAPID_PROFILE_SCOPE(Probe);
-        look = tagArray.lookup(block);
-    }
+    const TagArray::Lookup look = tagArray.lookup(block);
     Result result;
 
     if (look.hit) {

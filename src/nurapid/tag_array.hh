@@ -38,7 +38,6 @@
 #include "mem/rank_plane.hh"
 #include "mem/tag_probe.hh"
 #include "sim/audit/audit.hh"
-#include "sim/profile/profile.hh"
 
 namespace nurapid {
 
@@ -165,7 +164,6 @@ class TagArray
     void
     touch(std::uint32_t set, std::uint32_t way)
     {
-        NURAPID_PROFILE_SCOPE(Recency);
         ranks.touch(set, way);
     }
 
@@ -176,7 +174,6 @@ class TagArray
         const std::uint64_t invalid = ~validBits[set] & waysMask;
         if (invalid)
             return static_cast<std::uint32_t>(std::countr_zero(invalid));
-        NURAPID_PROFILE_SCOPE(Recency);
         return ranks.lruWay(set);
     }
 

@@ -111,6 +111,18 @@ defaultCoreParams()
     return CoreParams{};
 }
 
+std::optional<SimLength>
+SimLength::scaled(double scale) const
+{
+    if (!std::isfinite(scale) || scale <= 0)
+        return std::nullopt;
+    const SimLength len{static_cast<std::uint64_t>(warmup_records * scale),
+                        static_cast<std::uint64_t>(measure_records * scale)};
+    if (len.measure_records == 0)
+        return std::nullopt;
+    return len;
+}
+
 SimLength
 SimLength::fromEnv()
 {
@@ -119,15 +131,13 @@ SimLength::fromEnv()
         errno = 0;
         char *end = nullptr;
         const double scale = std::strtod(s, &end);
-        if (*s != '\0' && end && *end == '\0' && errno != ERANGE &&
-            std::isfinite(scale) && scale > 0) {
-            len.warmup_records = static_cast<std::uint64_t>(
-                len.warmup_records * scale);
-            len.measure_records = static_cast<std::uint64_t>(
-                len.measure_records * scale);
-        } else {
+        const std::optional<SimLength> scaled_len =
+            *s != '\0' && end && *end == '\0' && errno != ERANGE
+            ? len.scaled(scale) : std::nullopt;
+        if (scaled_len)
+            len = *scaled_len;
+        else
             warnOnce("ignoring invalid NURAPID_SIM_SCALE '%s'", s);
-        }
     }
     return len;
 }

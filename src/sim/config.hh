@@ -7,6 +7,7 @@
 #define NURAPID_SIM_CONFIG_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "cpu/ooo_core.hh"
@@ -71,6 +72,10 @@ struct SimLength
 {
     std::uint64_t warmup_records = 1'000'000;
     std::uint64_t measure_records = 3'000'000;
+
+    /** Both lengths times @p scale, truncated; empty when @p scale is
+     *  not a positive finite number or leaves no measured record. */
+    std::optional<SimLength> scaled(double scale) const;
 
     static SimLength fromEnv();
 };

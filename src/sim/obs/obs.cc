@@ -1,6 +1,7 @@
 #include "sim/obs/obs.hh"
 
 #include <cstdlib>
+#include <cstring>
 
 #include "common/logging.hh"
 
@@ -21,7 +22,8 @@ envUint(const char *name, std::uint64_t fallback)
         return fallback;
     char *end = nullptr;
     const unsigned long long parsed = std::strtoull(v, &end, 10);
-    if (end == v || *end != '\0') {
+    // strtoull negates "-1" into 2^64-1 instead of failing.
+    if (end == v || *end != '\0' || std::strchr(v, '-')) {
         warnOnce("ignoring unparseable %s='%s'", name, v);
         return fallback;
     }
@@ -50,8 +52,9 @@ EventSink::EventSink(bool keep_events, std::uint64_t ring_cap)
     : keepEvents(keep_events), cap(ring_cap)
 {
     epochLatencyHist.resize(kLatencyBuckets);
+    // A small head start; push() grows the ring up to cap.
     if (keepEvents)
-        buffer.reserve(cap ? static_cast<std::size_t>(cap) : 4096);
+        buffer.reserve(cap && cap < 4096 ? cap : 4096);
 }
 
 void

@@ -7,7 +7,6 @@
 #include "common/logging.hh"
 #include "sim/obs/export.hh"
 #include "sim/org_dispatch.hh"
-#include "sim/profile/profile.hh"
 #include "sim/runner/run_engine.hh"
 #include "sim/runner/span_trace.hh"
 #include "timing/geometry.hh"
@@ -101,7 +100,6 @@ System::runRecords(std::uint64_t records)
     if (distilled) {
         const std::uint64_t end = consumed + records;
         if (end <= distilled->size() && distilled->isCut(end)) {
-            NURAPID_PROFILE_SCOPE(Core);
             withConcreteOrg(*lowerMem, spec.kind, [&](auto &org) {
                 coreModel->runDistilled(org, dcur, records);
             });
@@ -122,7 +120,6 @@ System::runRecords(std::uint64_t records)
         EngineSpan span("trace-pregen", "extend " + prof.name);
         packed = sharedPackedTrace(prof, consumed + records);
     }
-    NURAPID_PROFILE_SCOPE(Core);
     PackedTrace::Cursor cur =
         packed->cursorRange(consumed, consumed + records);
     withConcreteOrg(*lowerMem, spec.kind, [&](auto &org) {
@@ -185,7 +182,6 @@ System::measure()
 RunMetrics
 System::metrics() const
 {
-    NURAPID_PROFILE_SCOPE(Stats);
     RunMetrics m;
     m.workload = prof.name;
     m.organization = spec.description();

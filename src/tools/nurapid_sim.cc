@@ -370,10 +370,10 @@ main(int argc, char **argv)
 
     SimLength length = SimLength::fromEnv();
     if (scale > 0) {
-        length.warmup_records = static_cast<std::uint64_t>(
-            length.warmup_records * scale);
-        length.measure_records = static_cast<std::uint64_t>(
-            length.measure_records * scale);
+        const std::optional<SimLength> scaled = length.scaled(scale);
+        fatal_if(!scaled, "--scale: %g leaves no measured references",
+                 scale);
+        length = *scaled;
     }
 
     if (run_suite && org == "all") {

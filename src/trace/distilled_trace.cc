@@ -16,7 +16,6 @@
 
 #include "common/logging.hh"
 #include "cpu/branch_predictor.hh"
-#include "sim/profile/profile.hh"
 #include "trace/packed_trace.hh"
 
 namespace nurapid {
@@ -53,7 +52,6 @@ DistilledTrace::DistilledTrace(const WorkloadProfile &profile,
     panic_if(packed->size() < records,
              "packed stream shorter than distillation request");
 
-    NURAPID_PROFILE_SCOPE(Distill);
     SetAssocCache l1i(params.l1i);
     SetAssocCache l1d(params.l1d);
     BranchPredictor bpred(params.bp_entries, params.bp_history_bits);
@@ -269,7 +267,6 @@ loadDistilledFile(const WorkloadProfile &profile, std::uint64_t records,
     if (fd < 0)
         return nullptr;
 
-    NURAPID_PROFILE_SCOPE(Distill);
     struct stat st;
     if (::fstat(fd, &st) != 0 ||
         st.st_size < static_cast<off_t>(sizeof(DistillFileHeader))) {

@@ -15,7 +15,6 @@
 
 #include "common/fingerprint.hh"
 #include "common/logging.hh"
-#include "sim/profile/profile.hh"
 
 namespace nurapid {
 
@@ -55,7 +54,6 @@ void
 PackedTrace::generate(std::uint64_t upto)
 {
     if (upto > buf.size()) {
-        NURAPID_PROFILE_SCOPE(TraceGen);
         buf.reserve(upto);
         TraceRecord r;
         for (std::uint64_t n = buf.size(); n < upto; ++n) {
@@ -221,7 +219,6 @@ loadPackedFile(const WorkloadProfile &profile, std::uint64_t records,
     if (fd < 0)
         return nullptr;
 
-    NURAPID_PROFILE_SCOPE(TraceGen);
     struct stat st;
     if (::fstat(fd, &st) != 0 ||
         st.st_size < static_cast<off_t>(sizeof(TraceFileHeader))) {

@@ -247,14 +247,17 @@ TEST(Obs, MetricsOnlySinkKeepsAggregatesWithoutBuffering)
     EXPECT_EQ(next.accesses, 0u);
 }
 
-TEST(Obs, ExportsRoundTripThroughJsonParser)
+/** One observed D-NUCA run exported to all three files and parsed
+ *  back; @p interval 0 leaves the epoch length to the environment. */
+void
+checkExportsRoundTrip(std::uint64_t interval)
 {
     const SimLength len{5'000, 20'000};
     System sys(OrgSpec::dnucaSsPerformance(), findProfile("gzip"), len);
     ObsConfig cfg;
     cfg.record_events = true;
     cfg.record_metrics = true;
-    cfg.interval = 2048;
+    cfg.interval = interval;
     const std::string dir = ::testing::TempDir();
     cfg.events_path = dir + "obs_events.jsonl";
     cfg.metrics_path = dir + "obs_metrics.jsonl";
@@ -276,7 +279,8 @@ TEST(Obs, ExportsRoundTripThroughJsonParser)
     MetricsDoc metrics;
     ASSERT_TRUE(readJsonlFile(cfg.metrics_path, metrics, &err)) << err;
     EXPECT_EQ(metrics.meta.get("meta").asString(), "nurapid-metrics");
-    EXPECT_EQ(metrics.meta.get("interval").asUint(), 2048u);
+    EXPECT_EQ(metrics.meta.get("interval").asUint(),
+              interval ? interval : ObsConfig::kDefaultInterval);
     ASSERT_EQ(metrics.epochs.size(),
               sys.observabilityRecorder()->timeline().size());
     const Json &last = metrics.epochs.back();
@@ -288,6 +292,32 @@ TEST(Obs, ExportsRoundTripThroughJsonParser)
     ASSERT_TRUE(readJsonlFile(cfg.perfetto_path, perfetto, &err)) << err;
     EXPECT_TRUE(perfetto.meta.get("traceEvents").isArray());
     EXPECT_GT(perfetto.meta.get("traceEvents").size(), 0u);
+}
+
+TEST(Obs, ExportsRoundTripThroughJsonParser)
+{
+    // Besides the plain run, negative or huge env values must fall back
+    // to the defaults instead of wrapping to 2^64-1 or reserving a ring
+    // the process cannot allocate.
+    struct EnvInput
+    {
+        const char *name;
+        const char *value;
+        std::uint64_t interval;  // 0: left to the environment
+    };
+    for (const EnvInput &in :
+         {EnvInput{nullptr, nullptr, 2048},
+          EnvInput{"NURAPID_OBS_EVENT_CAP", "-1", 2048},
+          EnvInput{"NURAPID_OBS_EVENT_CAP", "99999999999", 2048},
+          EnvInput{"NURAPID_OBS_INTERVAL", "-1", 0}}) {
+        SCOPED_TRACE(in.name ? std::string(in.name) + "=" + in.value
+                             : std::string("no env"));
+        if (in.name)
+            ::setenv(in.name, in.value, 1);
+        checkExportsRoundTrip(in.interval);
+        if (in.name)
+            ::unsetenv(in.name);
+    }
 }
 
 TEST(Obs, ObservedRunsBypassTheRunCache)

@@ -42,6 +42,11 @@ TEST(SimLength, EnvScaling)
     auto len = SimLength::fromEnv();
     EXPECT_EQ(len.warmup_records, 500'000u);
     EXPECT_EQ(len.measure_records, 1'500'000u);
+    // A scale that truncates the measured length to zero is refused.
+    setenv("NURAPID_SIM_SCALE", "1e-9", 1);
+    auto tiny = SimLength::fromEnv();
+    EXPECT_EQ(tiny.warmup_records, 1'000'000u);
+    EXPECT_EQ(tiny.measure_records, 3'000'000u);
     unsetenv("NURAPID_SIM_SCALE");
     auto len2 = SimLength::fromEnv();
     EXPECT_EQ(len2.warmup_records, 1'000'000u);
