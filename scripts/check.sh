@@ -10,7 +10,10 @@
 #            smokes, and a short cold sweep of all 17 bench binaries
 #            twice, distilled and live: the two sweeps must leave
 #            bit-identical 267-entry run caches, and the distilled
-#            sweep's [engine] footers must cover >= 95% of its wall
+#            sweep's [engine] footers must cover >= 95% of its wall.
+#            Last, perfbench's self-test and a 1 s seed-0 run of each
+#            benchmark workload, whose result digests must match
+#            perfbench/reference_digests.json
 #   asan     AddressSanitizer + UndefinedBehaviorSanitizer
 #   tsan     ThreadSanitizer (checks the parallel run engine)
 #
@@ -244,6 +247,31 @@ for config in $configs; do
                  "cache holds $sweep_entries" >&2
             exit 1
         }
+
+        # The benchmark's result gate: perfbench's self-test, then a
+        # 1 s seed-0 run of each workload. perfbench exits 0 either
+        # way; its last line must say "correct": true, which requires
+        # the simulated-result digest to match
+        # perfbench/reference_digests.json, and no failed operation.
+        # perfbench builds into $dir/perfbench.
+        echo "=== [$config] perfbench self-test and seed-0 digests ==="
+        (export CARGO_TARGET_DIR="$dir" &&
+            run_logged "$dir/perfbench_self_test.log" 1 \
+                python3 perfbench/run.py --self-test)
+        for workload in replay-lowload replay-highload cold-pipeline; do
+            pb_log="$dir/perfbench_$workload.log"
+            (export CARGO_TARGET_DIR="$dir" &&
+                run_logged "$pb_log" 0 \
+                    python3 perfbench/run.py --workload "$workload" \
+                        --seed 0 --seconds 1 --trace 0)
+            tail -n 1 "$pb_log" | grep -q \
+                '^{"correct": true, "attempted": [0-9]*, "failed": 0,' || {
+                echo "perfbench $workload: result gate failed" \
+                     "(see $pb_log)" >&2
+                exit 1
+            }
+            grep '^digest:' "$pb_log"
+        done
     fi
 
     echo "=== [$config] fuzz smoke ($fuzz_iters iters, audits on) ==="

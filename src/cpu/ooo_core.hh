@@ -26,6 +26,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 
 #include "common/fixed_ring.hh"
 #include "common/logging.hh"
@@ -154,8 +155,8 @@ class OooCore
 
     /** Retires completed loads; stalls dispatch when the oldest
      *  pending load is a full RUU behind the dispatch point. Inline:
-     *  runs once per record, usually hitting the empty/young-front
-     *  early exit. */
+     *  the live loop runs it once per record, usually hitting the
+     *  empty/young-front early exit; replayInert only where it acts. */
     void
     enforceWindow()
     {
@@ -166,7 +167,7 @@ class OooCore
                 pendingLoads.pop_front();
                 continue;
             }
-            if (instIndex - front.inst >= p.ruu_entries) {
+            if (insts - front.inst >= p.ruu_entries) {
                 cycleF = std::max(cycleF,
                                   static_cast<double>(front.completion));
                 now = static_cast<Cycle>(cycleF);
@@ -176,6 +177,55 @@ class OooCore
             }
             break;
         }
+    }
+
+    /**
+     * The inert loop of runDistilled over gap words [@p g, @p end) with
+     * no interval recorder attached. Per record it does the live loop's
+     * two FP additions, in its order: dispatch time, then the folded
+     * mispredict penalty (@p pen indexed by gap bit 15; + 0.0 is exact
+     * for a non-negative clock). enforceWindow() is a no-op unless the
+     * oldest pending load has completed, (Cycle)clock >= completion,
+     * or is a full RUU behind, insts >= inst + ruu_entries. Both are
+     * hoisted into scalar limits — for an integer C < 2^53,
+     * (Cycle)c >= C exactly when c >= (double)C — so enforceWindow()
+     * runs only at the records where one trips.
+     */
+    void
+    replayInert(const std::uint16_t *g, const std::uint16_t *end,
+                const double pen[2])
+    {
+        double c = cycleF;
+        std::uint64_t n_insts = insts;
+        double lim_c = 0;
+        std::uint64_t lim_i = 0;
+        const auto limits = [&] {
+            if (pendingLoads.empty()) {
+                lim_c = std::numeric_limits<double>::infinity();
+                lim_i = std::numeric_limits<std::uint64_t>::max();
+            } else {
+                const Pending &front = pendingLoads.front();
+                lim_c = static_cast<double>(front.completion);
+                lim_i = front.inst + p.ruu_entries;
+            }
+        };
+        limits();
+        for (; g != end; ++g) {
+            const std::uint32_t n =
+                (*g & DistilledTrace::kGapInstMask) + 1u;
+            n_insts += n;
+            c += n * dispatchCpi;
+            c += pen[*g >> 15];
+            if (c >= lim_c || n_insts >= lim_i) [[unlikely]] {
+                cycleF = c;
+                insts = n_insts;
+                enforceWindow();
+                c = cycleF;
+                limits();
+            }
+        }
+        cycleF = c;
+        insts = n_insts;
     }
 
     template <class LowerT>
@@ -200,7 +250,6 @@ class OooCore
     double dispatchCpi = 0.125;
     double cycleF = 0.0;        //!< absolute dispatch clock (never reset)
     std::uint64_t insts = 0;    //!< absolute instruction count
-    std::uint64_t instIndex = 0;
     Cycle lastCompletion = 0;
     Cycle lastMissCompletion = 0;  //!< last deep load's data-ready time
     Cycle cycleBase = 0;        //!< measurement-phase baselines
@@ -309,7 +358,7 @@ OooCore::missPath(LowerT &lower_mem, Addr addr, bool store, bool ifetch,
         }
     } else {
         // Loads (and ifetches) hold the window.
-        pendingLoads.push_back({instIndex, completion});
+        pendingLoads.push_back({insts, completion});
         if (!ifetch)
             lastMissCompletion = completion;
     }
@@ -325,7 +374,6 @@ OooCore::runTyped(LowerT &lower_mem, TraceT &trace, std::uint64_t records)
             break;
 
         insts += r.inst_gap + 1;
-        instIndex += r.inst_gap + 1;
         cycleF += (r.inst_gap + 1) * dispatchCpi;
 
         if (r.has_branch) {
@@ -375,6 +423,9 @@ OooCore::runDistilled(LowerT &lower_mem, DistilledTrace::Cursor &cur,
     using DT = DistilledTrace;
     const std::uint64_t stop = cur.pos + records;
     const std::uint16_t *const gaps = cur.gaps;
+    // Indexed by gap-word bit 15: adding 0.0 leaves the (non-negative)
+    // clock bit-identical, so the inert loop needs no branch for it.
+    const double pen[2] = {0.0, static_cast<double>(p.mispredict_penalty)};
 
     while (cur.pos < stop) {
         panic_if(cur.ev == cur.ev_end,
@@ -386,18 +437,23 @@ OooCore::runDistilled(LowerT &lower_mem, DistilledTrace::Cursor &cur,
                  "distilled event past the stop record — replay must "
                  "end on one of the stream's cuts");
 
-        // Inert records [cur.pos, erec): all L1 hits with correctly
-        // predicted branches and no stall of any kind. Only the
-        // dispatch clock (whose per-record FP addition order must be
-        // preserved), the instruction indices, and the window walk
-        // advance; the L1 tag/LRU walk and predictor tables fold away.
-        for (std::uint64_t k = cur.pos; k < erec; ++k) {
-            insts += gaps[k] + 1;
-            instIndex += gaps[k] + 1;
-            cycleF += (gaps[k] + 1) * dispatchCpi;
-            enforceWindow();
-            if (obsRec) [[unlikely]]
+        // Non-event records [cur.pos, erec): all L1 hits with no stall
+        // other than a folded mispredict penalty. Only the dispatch
+        // clock (whose per-record FP addition order must be preserved),
+        // the instruction count and the window advance; the L1
+        // tag/LRU walk and predictor tables fold away.
+        if (obsRec) [[unlikely]] {
+            for (std::uint64_t k = cur.pos; k < erec; ++k) {
+                const std::uint16_t g = gaps[k];
+                const std::uint32_t n = (g & DT::kGapInstMask) + 1u;
+                insts += n;
+                cycleF += n * dispatchCpi;
+                cycleF += pen[g >> 15];
+                enforceWindow();
                 obsRec->tick();
+            }
+        } else {
+            replayInert(gaps + cur.pos, gaps + erec, pen);
         }
         const auto inert = static_cast<std::uint32_t>(erec - cur.pos);
         cur.pos = erec + 1;
@@ -406,12 +462,12 @@ OooCore::runDistilled(LowerT &lower_mem, DistilledTrace::Cursor &cur,
         statL1DAccesses += inert - e.d_l1i;
         l1i.foldStats(e.d_l1i, 0, 0, 0);
         l1d.foldStats(inert - e.d_l1i, 0, 0, 0);
-        bpred.foldStats(e.d_bp_pred, 0);
+        bpred.foldStats(e.d_bp_pred + e.d_misp, e.d_misp);
 
-        // The event record itself, replayed in live-loop order.
+        // The event record itself, replayed in live-loop order. Its
+        // gap word is the full 16-bit inst_gap.
         const std::uint16_t f = e.flags;
         insts += gaps[erec] + 1;
-        instIndex += gaps[erec] + 1;
         cycleF += (gaps[erec] + 1) * dispatchCpi;
 
         if (f & DT::kHasBranch) {

@@ -1,10 +1,13 @@
 #include "sim/runner/run_cache.hh"
 
+#include <cerrno>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 #include "common/fingerprint.hh"
@@ -321,10 +324,45 @@ RunCache::loadFile(const std::string &path)
     return mergeLocked(path);
 }
 
+namespace {
+
+/** Holds an exclusive advisory flock on `<path>.lock` for its lifetime:
+ *  serializes the merge-then-rename of concurrent savers, so no process
+ *  renames over entries another merged in but has not yet written. */
+class SaveLock
+{
+  public:
+    explicit SaveLock(const std::string &path)
+        : fd(::open((path + ".lock").c_str(),
+                    O_RDWR | O_CREAT | O_CLOEXEC, 0644))
+    {
+        if (fd < 0) {
+            warnOnce("run cache: cannot open %s.lock; saving unlocked",
+                     path.c_str());
+            return;
+        }
+        while (::flock(fd, LOCK_EX) != 0 && errno == EINTR) {
+        }
+    }
+    ~SaveLock()
+    {
+        if (fd >= 0)
+            ::close(fd);  // releases the lock
+    }
+    SaveLock(const SaveLock &) = delete;
+    SaveLock &operator=(const SaveLock &) = delete;
+
+  private:
+    int fd;
+};
+
+} // namespace
+
 bool
 RunCache::saveFile(const std::string &path)
 {
     std::lock_guard<std::mutex> lock(mtx);
+    const SaveLock file_lock(path);
     mergeLocked(path);
 
     Json root = Json::object();
@@ -340,17 +378,17 @@ RunCache::saveFile(const std::string &path)
 
     const std::string tmp =
         path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out) {
-            warn("run cache: cannot write %s", tmp.c_str());
-            return false;
-        }
-        out << root.dump() << '\n';
-        if (!out) {
-            warn("run cache: short write to %s", tmp.c_str());
-            return false;
-        }
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) {
+        warn("run cache: cannot write %s", tmp.c_str());
+        return false;
+    }
+    out << root.dump() << '\n';
+    out.close();
+    if (!out) {
+        warn("run cache: short write to %s", tmp.c_str());
+        std::remove(tmp.c_str());
+        return false;
     }
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
         warn("run cache: cannot rename %s to %s", tmp.c_str(),

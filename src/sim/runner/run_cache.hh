@@ -91,7 +91,9 @@ class RunCache
      * Writes the cache to @p path, first re-merging any entries other
      * processes appended since loadFile (ours win), via a per-process
      * temp-file rename so concurrent readers never see a torn file and
-     * concurrent writers never share a temp file.
+     * concurrent writers never share a temp file. An advisory flock on
+     * `<path>.lock` is held across the merge and the rename, so
+     * concurrent savers never lose each other's entries.
      */
     bool saveFile(const std::string &path);
 

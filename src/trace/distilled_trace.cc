@@ -57,9 +57,10 @@ DistilledTrace::DistilledTrace(const WorkloadProfile &profile,
     BranchPredictor bpred(params.bp_entries, params.bp_history_bits);
 
     gap_buf.resize(records);
-    // The event rate is the L1 miss rate plus mispredicts and
-    // dep-check points — reserve for a generous 25% and let the vector
-    // grow in the rare workloads beyond that.
+    // The event rate is the L1 miss rate plus dep-check points —
+    // reserve for a generous 25% (untouched capacity is never made
+    // resident) and let the vector grow in the rare workloads beyond
+    // that.
     event_buf.reserve(records / 4);
 
     PackedTrace::Cursor cur = packed->cursor(records);
@@ -67,6 +68,7 @@ DistilledTrace::DistilledTrace(const WorkloadProfile &profile,
     auto next_cut = cuts_.begin();
     std::uint32_t acc_bp_pred = 0;  //!< correct predictions since event
     std::uint32_t acc_l1i = 0;      //!< inert ifetch refs since event
+    std::uint16_t acc_misp = 0;     //!< folded mispredicts since event
     bool dep_pending = false;       //!< a dep load must replay its check
 
     for (std::uint64_t k = 0; k < records; ++k) {
@@ -105,10 +107,22 @@ DistilledTrace::DistilledTrace(const WorkloadProfile &profile,
         if (at_cut)
             ++next_cut;
 
-        if (flags == 0 && !at_cut) {
+        // An inst_gap that needs bit 15 makes its record an event, so
+        // the gap word of a non-event record never misreads as a
+        // folded mispredict.
+        const bool foldable = !at_cut && r.inst_gap <= kGapInstMask;
+        if (flags == 0 && foldable) {
             // Inert L1 hit: fold into the running deltas.
             if (r.has_branch)
                 ++acc_bp_pred;
+            if (ifetch)
+                ++acc_l1i;
+            continue;
+        }
+        if (flags == kMispredict && foldable && acc_misp < 0xffff) {
+            // Mispredict-only L1 hit: its penalty rides the gap word.
+            gap_buf[k] |= kGapMispredict;
+            ++acc_misp;
             if (ifetch)
                 ++acc_l1i;
             continue;
@@ -122,8 +136,10 @@ DistilledTrace::DistilledTrace(const WorkloadProfile &profile,
             flags | (ifetch ? kIfetch : 0) | (store ? kStore : 0) |
             (r.has_branch ? kHasBranch : 0) |
             (r.latency_critical ? kLatencyCritical : 0));
+        e.d_misp = acc_misp;
         e.d_bp_pred = acc_bp_pred;
         e.d_l1i = acc_l1i;
+        acc_misp = 0;
         acc_bp_pred = 0;
         acc_l1i = 0;
         event_buf.push_back(e);
@@ -172,7 +188,7 @@ distillFingerprint(const WorkloadProfile &profile, std::uint64_t seed_mix,
 {
     // Format version: bump whenever the event layout or fold semantics
     // change, so stale .dtc files can never replay the old scheme.
-    constexpr std::uint64_t kDistillFormatVersion = 1;
+    constexpr std::uint64_t kDistillFormatVersion = 2;
 
     Fingerprint fp;
     fp.field("distill_format", kDistillFormatVersion);

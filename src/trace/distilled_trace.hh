@@ -14,16 +14,23 @@
  *
  * DistilledTrace stores that shared prefix as:
  *
- *  - a per-record array of inst_gap values (2 B/record — the dispatch
+ *  - a per-record array of 16-bit gap words (2 B/record — the dispatch
  *    clock is a running double, so the replay must reproduce the exact
  *    per-record addition order; everything else about inert L1-hit
- *    records folds away), and
+ *    records folds away). Bits 0-14 hold the record's inst_gap; bit 15
+ *    (kGapMispredict) marks a record whose only effect is a branch
+ *    mispredict, so its penalty is replayed from the gap word
+ *    without leaving the inert loop. Event records keep their full
+ *    16-bit inst_gap; any record whose inst_gap needs bit 15 is made
+ *    an event, so the flag can never be misread.
  *  - a sparse, ordered array of Events: one per record whose replay
- *    touches org-dependent state (L1 miss, dirty writeback, branch
- *    mispredict, dependent-load stall point) or that closes a
- *    warmup/measure segment. Each event carries the counter deltas
- *    (inert ifetch count, correct branch predictions) accumulated over
- *    the inert records since the previous event, so statistics stay
+ *    touches org-dependent state (L1 miss, dirty writeback,
+ *    dependent-load stall point) or that closes a warmup/measure
+ *    segment. Mispredicts are not events of their own: one rides an
+ *    event only when its record is one for another reason. Each event
+ *    carries the counter deltas (inert ifetch count, correct branch
+ *    predictions, folded mispredicts) accumulated over the
+ *    non-event records since the previous event, so statistics stay
  *    bit-identical without touching the L1 or predictor tables.
  *
  * Only the *first* dependent load after each deep-load event needs an
@@ -32,8 +39,10 @@
  * one dependent load has been checked against it, later checks in the
  * same epoch are provably no-ops).
  *
- * OooCore::runDistilled replays events only, applying the window/LSQ/
- * MSHR logic at the stored record indices; tests/test_distilled_trace.cc
+ * OooCore::runDistilled walks the gap words in a tight loop that adds
+ * dispatch time and folded penalties and leaves it only where the
+ * oldest pending load can retire or stall dispatch; it applies the
+ * LSQ/MSHR/L2 logic at the event records; tests/test_distilled_trace.cc
  * asserts bit-identity against the live loop for every workload and
  * organization kind. Buffers are shared process-wide per fingerprint
  * (profile, seed mix, L1 geometry, predictor config, MSHR sector,
@@ -86,6 +95,11 @@ class DistilledTrace
     static constexpr std::uint16_t kWriteback = 1u << 7;
     static constexpr std::uint16_t kLatencyCritical = 1u << 8;
 
+    /** Gap-word bit 15: a folded mispredict-only record. The low 15
+     *  bits (kGapInstMask) are its inst_gap. */
+    static constexpr std::uint16_t kGapMispredict = 1u << 15;
+    static constexpr std::uint16_t kGapInstMask = kGapMispredict - 1;
+
     /** One L2-relevant record, 32 bytes. */
     struct Event
     {
@@ -93,13 +107,16 @@ class DistilledTrace
         Addr evicted_addr = 0;  //!< dirty L1 victim (kWriteback events)
         std::uint32_t rec = 0;  //!< absolute record index of the event
         std::uint16_t flags = 0;
-        std::uint16_t pad = 0;
-        /** Correct branch predictions on the inert records strictly
-         *  between the previous event and this one (the event record's
-         *  own branch is described by kHasBranch/kMispredict). */
+        /** Folded mispredict-only records (kGapMispredict gap words)
+         *  strictly between the previous event and this one. */
+        std::uint16_t d_misp = 0;
+        /** Correct branch predictions on the non-event records
+         *  strictly between the previous event and this one (the event
+         *  record's own branch is described by kHasBranch/kMispredict;
+         *  the d_misp mispredicts are counted separately). */
         std::uint32_t d_bp_pred = 0;
-        /** Ifetch references among those inert records (the rest are
-         *  data references; all inert records are L1 hits). */
+        /** Ifetch references among those non-event records (the rest
+         *  are data references; all of them are L1 hits). */
         std::uint32_t d_l1i = 0;
     };
     static_assert(sizeof(Event) == 32, "events must stay 32 bytes");

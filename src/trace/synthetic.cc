@@ -24,6 +24,11 @@ SyntheticTrace::SyntheticTrace(const WorkloadProfile &profile,
 {
     fatal_if(prof.mem_refs_per_kinst <= 0, "%s: no memory references",
              prof.name.c_str());
+    // Gaps are drawn below 1.5x the mean and stored as 16-bit inst_gap.
+    fatal_if(1500.0 / prof.mem_refs_per_kinst >= 65536.0,
+             "%s: mem_refs_per_kinst %g gives instruction gaps past 16 "
+             "bits (it must exceed %g)",
+             prof.name.c_str(), prof.mem_refs_per_kinst, 1500.0 / 65536.0);
     double total = 0;
     for (const auto &l : prof.layers) {
         fatal_if(l.bytes == 0 || l.weight < 0 || l.segments == 0,

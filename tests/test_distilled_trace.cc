@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -232,10 +233,47 @@ TEST(DistilledTrace, FingerprintChangesWithEveryKeyedParameter)
         << "workload must invalidate the fingerprint";
 }
 
+/** True for an event whose only replay effect is a mispredict. */
+bool
+mispredictOnly(const DistilledTrace::Event &e)
+{
+    using DT = DistilledTrace;
+    return (e.flags & (DT::kMispredict | DT::kDepCheck | DT::kL1Miss)) ==
+        DT::kMispredict;
+}
+
+/** Non-event gap words carrying the folded-mispredict flag (an event
+ *  record's gap word is its full 16-bit inst_gap). */
+std::uint64_t
+flaggedGaps(const DistilledTrace &t)
+{
+    std::uint64_t n = 0;
+    const DistilledTrace::Event *ev = t.eventData();
+    const DistilledTrace::Event *ev_end = ev + t.eventCount();
+    for (std::uint64_t k = 0; k < t.size(); ++k) {
+        if (ev != ev_end && ev->rec == k) {
+            ++ev;
+            continue;
+        }
+        n += (t.gapData()[k] & DistilledTrace::kGapMispredict) ? 1 : 0;
+    }
+    return n;
+}
+
+std::uint64_t
+sumFoldedMispredicts(const DistilledTrace &t)
+{
+    std::uint64_t n = 0;
+    for (std::uint64_t i = 0; i < t.eventCount(); ++i)
+        n += t.eventData()[i].d_misp;
+    return n;
+}
+
 TEST(DistilledTrace, EventStreamFoldsTheInertMajority)
 {
     // The point of distillation: events are a small fraction of the
-    // records (L1 miss + mispredict + dep-check + cut rate).
+    // records (L1 miss + dep-check + cut rate; mispredicts fold into
+    // the gap words).
     constexpr std::uint64_t kMix = 78;
     constexpr std::uint64_t kRecords = 50'000;
     DistillParams params;
@@ -245,14 +283,64 @@ TEST(DistilledTrace, EventStreamFoldsTheInertMajority)
     auto t = sharedDistilledTrace(prof, kRecords, {kRecords}, params,
                                   kMix);
     ASSERT_NE(t, nullptr);
-    EXPECT_LT(t->eventCount(), kRecords / 2)
-        << "distillation folded almost nothing";
-    // Events are strictly ordered and end on the forced cut record.
+    // Past the cold-L1 first half, gzip makes ~16 events per 1 k
+    // records; ~160 more would be mispredicts if they did not fold.
     const DistilledTrace::Event *ev = t->eventData();
+    const auto warm = std::count_if(
+        ev, ev + t->eventCount(), [](const DistilledTrace::Event &e) {
+            return e.rec >= kRecords / 2;
+        });
+    EXPECT_LE(warm * 1000, 40 * (kRecords / 2))
+        << "more than 40 events per 1 k warm records: folding regressed";
+    // Events are strictly ordered and end on the forced cut record.
     for (std::uint64_t i = 1; i < t->eventCount(); ++i)
         ASSERT_GT(ev[i].rec, ev[i - 1].rec) << "event " << i;
     EXPECT_EQ(ev[t->eventCount() - 1].rec, kRecords - 1)
         << "an event must be forced at the final cut record";
+    // gzip's gaps all fit in 15 bits and no run of folded mispredicts
+    // nears 0xffff, so only a cut makes a mispredict-only event.
+    for (std::uint64_t i = 0; i < t->eventCount(); ++i) {
+        EXPECT_FALSE(mispredictOnly(ev[i]) && !t->isCut(ev[i].rec + 1))
+            << "mispredict-only event at record " << ev[i].rec;
+    }
+    EXPECT_GT(flaggedGaps(*t), 0u);
+    EXPECT_EQ(flaggedGaps(*t), sumFoldedMispredicts(*t));
+}
+
+TEST(DistilledTrace, WideGapsReplayIdenticallyToTheLiveLoop)
+{
+    // At 0.03 memory references per kinst the gaps span 16.7 k–50 k
+    // instructions, straddling the 0x8000 folded-mispredict flag. Wide
+    // gaps must become events (never read as a flag), narrow
+    // mispredict-only records must still fold, and the replay must
+    // stay bit-identical to the live loop.
+    WorkloadProfile prof = findProfile("gzip");
+    prof.name = "gzip-sparse";
+    prof.mem_refs_per_kinst = 0.03;
+    const SimLength len{4'000, 12'000};
+
+    DistillParams params;
+    params.l1i = l1iOrg();
+    params.l1d = l1dOrg();
+    auto t = sharedDistilledTrace(prof, 16'000, {4'000, 16'000}, params);
+    ASSERT_NE(t, nullptr);
+    std::uint64_t wide_events = 0;
+    for (std::uint64_t i = 0; i < t->eventCount(); ++i) {
+        const DistilledTrace::Event &e = t->eventData()[i];
+        wide_events += t->gapData()[e.rec] > DistilledTrace::kGapInstMask;
+    }
+    EXPECT_GT(wide_events, 0u);
+    EXPECT_GT(flaggedGaps(*t), 0u);
+    EXPECT_EQ(flaggedGaps(*t), sumFoldedMispredicts(*t));
+    t.reset();
+
+    for (const OrgSpec &org : {OrgSpec::baseline(),
+                               OrgSpec::nurapidDefault()}) {
+        const Observed live = observe(org, prof, len, false);
+        const Observed dist = observe(org, prof, len, true);
+        expectSameObservation(live, dist,
+                              prof.name + " / " + org.description());
+    }
 }
 
 } // namespace

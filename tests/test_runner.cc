@@ -16,6 +16,9 @@
 #include <string>
 #include <vector>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include "common/json.hh"
 #include "sim/runner/run_engine.hh"
 #include "sim/system.hh"
@@ -411,6 +414,59 @@ TEST(RunCache, SaveSurvivesAnotherWritersTempFile)
     }
     std::filesystem::remove_all(other_tmp);
     std::remove(path.c_str());
+}
+
+TEST(RunCache, ConcurrentSaversLoseNoEntries)
+{
+    // Two processes save disjoint entries to one file, one entry per
+    // save from a fresh cache, so their merge-then-rename steps
+    // interleave and an entry renamed over is never written again. The
+    // save lock must keep either from renaming over entries the other
+    // has written: both sets survive.
+    const std::string path = "test_runner_two_savers.json";
+    std::remove(path.c_str());
+    constexpr int kPerChild = 25;
+    auto digest = [](int child, int i) {
+        char d[17];
+        std::snprintf(d, sizeof(d), "%08x%08x", child + 1, i);
+        return std::string(d);
+    };
+
+    pid_t kids[2];
+    for (int child = 0; child < 2; ++child) {
+        kids[child] = ::fork();
+        ASSERT_GE(kids[child], 0);
+        if (kids[child] == 0) {
+            bool ok = true;
+            for (int i = 0; i < kPerChild; ++i) {
+                RunCache cache;
+                RunMetrics m;
+                m.workload = "applu";
+                m.ipc = child + i / 100.0;
+                cache.store(RunKey{digest(child, i), digest(child, i)}, m);
+                ok = cache.saveFile(path) && ok;
+            }
+            ::_exit(ok ? 0 : 1);
+        }
+    }
+    for (pid_t kid : kids) {
+        int status = 0;
+        ASSERT_EQ(::waitpid(kid, &status, 0), kid);
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    }
+
+    RunCache merged;
+    EXPECT_EQ(merged.loadFile(path), 2u * kPerChild);
+    for (int child = 0; child < 2; ++child) {
+        for (int i = 0; i < kPerChild; ++i) {
+            RunMetrics out;
+            EXPECT_TRUE(merged.lookup(
+                RunKey{digest(child, i), digest(child, i)}, out))
+                << "child " << child << " entry " << i << " was lost";
+        }
+    }
+    std::remove(path.c_str());
+    std::remove((path + ".lock").c_str());
 }
 
 } // namespace

@@ -61,6 +61,19 @@ TEST(ProfilesDeath, UnknownNameIsFatal)
     EXPECT_DEATH(findProfile("quake3"), "no workload profile");
 }
 
+TEST(SyntheticDeath, GapsPast16BitsAreFatal)
+{
+    // Gaps reach 1.5x the mean of 1000 / mem_refs_per_kinst, so below
+    // ~0.0229 refs per kinst they would overflow the 16-bit inst_gap.
+    WorkloadProfile p = findProfile("gzip");
+    p.mem_refs_per_kinst = 0.02;
+    EXPECT_DEATH(SyntheticTrace{p}, "past 16 bits");
+    p.mem_refs_per_kinst = 0.03;
+    SyntheticTrace t(p);
+    TraceRecord r;
+    ASSERT_TRUE(t.next(r));
+}
+
 TEST(Synthetic, DeterministicStream)
 {
     const auto &p = findProfile("applu");
