@@ -160,12 +160,13 @@ for config in $configs; do
         # [engine] footer must account for >= 95% of the process wall
         # time: the top-level run-unit spans cover everything the
         # workers do, leaving only a few fixed ms of startup/teardown
-        # outside any span.
+        # outside any span. The scale matches the cold sweep's 0.05 so
+        # that fixed part stays well under 5% of the wall.
         echo "=== [$config] engine-trace smoke (span coverage) ==="
         trace_dir="$dir/engine_trace_smoke"
         rm -rf "$trace_dir"
         mkdir -p "$trace_dir"
-        NURAPID_SIM_SCALE=0.02 NURAPID_RUN_CACHE="$trace_dir/cache.json" \
+        NURAPID_SIM_SCALE=0.05 NURAPID_RUN_CACHE="$trace_dir/cache.json" \
             "$dir/src/tools/nurapid_sim" --org all --suite \
             --engine-trace-out "$trace_dir/engine_trace.json" \
             > /dev/null 2> "$trace_dir/engine.log"
@@ -184,11 +185,13 @@ for config in $configs; do
         # Short cold sweep: all 17 bench binaries at scale 0.05 with a
         # fresh run cache, engine-span tracing attached. Cached
         # distilled streams are dropped first so the sweep distills
-        # rather than only mapping what the stages above left behind.
+        # rather than only mapping what the stages above left behind,
+        # and so are stale packed-record .trc files, which nothing
+        # reads any more.
         echo "=== [$config] cold sweep (scale 0.05, engine spans) ==="
         sweep_cache="$dir/sweep_cache.json"
         rm -f "$sweep_cache"
-        rm -f "$dir/trace_cache"/*.dtc
+        rm -f "$dir/trace_cache"/*.dtc "$dir/trace_cache"/*.trc
         sweep_log="$dir/sweep.log"
         sweep_trace="$dir/engine_sweep_trace.json"
         (export NURAPID_SIM_SCALE=0.05 NURAPID_RUN_CACHE="$sweep_cache" &&

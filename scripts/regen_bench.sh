@@ -27,10 +27,11 @@
 #   NURAPID_JOBS             worker threads per binary (default: all cores)
 #   NURAPID_RUN_CACHE        cache file (default: BUILD_DIR/bench_run_cache.json)
 #   NURAPID_SIM_SCALE        simulation length scale
-#   NURAPID_TRACE_CACHE_DIR  packed-trace disk cache shared by the 17
-#                            binaries (default: BUILD_DIR/trace_cache) —
-#                            each workload stream is generated once per
-#                            sweep, not once per binary
+#   NURAPID_TRACE_CACHE_DIR  distilled-stream (.dtc) disk cache shared
+#                            by the 17 binaries (default:
+#                            BUILD_DIR/trace_cache) — each workload is
+#                            generated and distilled once per sweep, not
+#                            once per binary
 #
 # Besides the per-table stdout, the sweep writes BUILD_DIR/BENCH_sweep.json
 # with machine-readable timings: per-binary and total wall milliseconds,

@@ -67,10 +67,6 @@ System::System(const OrgSpec &org, const WorkloadProfile &profile,
 {
     const std::uint64_t total =
         length.warmup_records + length.measure_records;
-    {
-        EngineSpan span("trace-pregen", "pregen " + profile.name);
-        packed = sharedPackedTrace(profile, total);
-    }
     if (total > 0 && distillEnabled()) {
         // The cuts are the segment boundaries runAll()'s phases stop
         // at; folded counters are exact there, so resetStats() between
@@ -116,9 +112,13 @@ System::runRecords(std::uint64_t records)
                  static_cast<unsigned long long>(end));
         distilled.reset();
     }
-    if (consumed + records > packed->size()) {
-        EngineSpan span("trace-pregen", "extend " + prof.name);
-        packed = sharedPackedTrace(prof, consumed + records);
+    if (!packed || consumed + records > packed->size()) {
+        // Only the live loop reads packed records; the first request
+        // covers the whole warmup+measure schedule.
+        EngineSpan span("trace-pregen", "pregen " + prof.name);
+        packed = sharedPackedTrace(
+            prof, std::max(consumed + records,
+                           length.warmup_records + length.measure_records));
     }
     PackedTrace::Cursor cur =
         packed->cursorRange(consumed, consumed + records);

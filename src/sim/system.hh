@@ -106,8 +106,9 @@ class System
     SetAssocCache l1iCache;
     SetAssocCache l1dCache;
     std::unique_ptr<OooCore> coreModel;
-    /** Shared pre-generated stream and the count of records this
-     *  system has consumed from it. */
+    /** Shared packed stream, built on the live loop's first segment
+     *  (never for a distilled run), and the count of records this
+     *  system has consumed. */
     std::shared_ptr<const PackedTrace> packed;
     std::uint64_t consumed = 0;
     /** Shared distilled L2-event stream (null when distillation is

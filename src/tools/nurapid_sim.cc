@@ -95,8 +95,8 @@ usage(const char *argv0)
         "                          (default: hardware concurrency)\n"
         "  NURAPID_RUN_CACHE       path of the cross-binary run\n"
         "                          memoization cache (JSON)\n"
-        "  NURAPID_TRACE_CACHE_DIR on-disk packed/distilled trace cache\n"
-        "                          directory\n"
+        "  NURAPID_TRACE_CACHE_DIR directory of on-disk distilled\n"
+        "                          L2-event streams (.dtc)\n"
         "  NURAPID_DISTILL         0 disables distilled L2-event replay\n"
         "  NURAPID_SIM_SCALE       global simulation-length multiplier\n"
         "  NURAPID_AUDIT           1 enables the invariant-audit layer\n"

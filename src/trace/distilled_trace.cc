@@ -45,13 +45,17 @@ DistilledTrace::DistilledTrace(const WorkloadProfile &profile,
                                const std::vector<std::uint64_t> &cuts,
                                const DistillParams &params,
                                std::uint64_t seed_mix)
-    : cuts_(cuts)
 {
-    checkCuts(cuts_, records);
-    auto packed = sharedPackedTrace(profile, records, seed_mix);
-    panic_if(packed->size() < records,
-             "packed stream shorter than distillation request");
+    // Event::rec is a 32-bit record index; refuse before allocating.
+    fatal_if(records > kMaxRecords,
+             "a distilled stream indexes at most %llu records, %llu "
+             "requested; set NURAPID_DISTILL=0 for runs this long",
+             static_cast<unsigned long long>(kMaxRecords),
+             static_cast<unsigned long long>(records));
+    checkCuts(cuts, records);
+    cuts_ = cuts;
 
+    SyntheticTrace gen(profile, seed_mix);
     SetAssocCache l1i(params.l1i);
     SetAssocCache l1d(params.l1d);
     BranchPredictor bpred(params.bp_entries, params.bp_history_bits);
@@ -63,7 +67,6 @@ DistilledTrace::DistilledTrace(const WorkloadProfile &profile,
     // that.
     event_buf.reserve(records / 4);
 
-    PackedTrace::Cursor cur = packed->cursor(records);
     TraceRecord r;
     auto next_cut = cuts_.begin();
     std::uint32_t acc_bp_pred = 0;  //!< correct predictions since event
@@ -72,8 +75,8 @@ DistilledTrace::DistilledTrace(const WorkloadProfile &profile,
     bool dep_pending = false;       //!< a dep load must replay its check
 
     for (std::uint64_t k = 0; k < records; ++k) {
-        const bool got = cur.next(r);
-        panic_if(!got, "packed stream ended mid-distillation");
+        const bool got = gen.next(r);
+        panic_if(!got, "workload stream ended mid-distillation");
         gap_buf[k] = r.inst_gap;
 
         std::uint16_t flags = 0;
@@ -224,9 +227,10 @@ distillFingerprint(const WorkloadProfile &profile, std::uint64_t seed_mix,
 namespace {
 
 // ---------------------------------------------------------------------
-// Cross-process disk cache, mirroring the packed-trace .trc scheme:
-// header + full canonical key (collision guard) + 16-byte-aligned gap
-// and event arrays, written via tmp-file + rename.
+// Cross-process disk cache: header + full canonical key (collision
+// guard) + 16-byte-aligned gap and event arrays, written via tmp-file
+// + rename so a concurrent or killed writer never leaves a half-written
+// file under the final name.
 // ---------------------------------------------------------------------
 
 constexpr char kDistillFileMagic[8] = {'N', 'R', 'P', 'D', 'S', 'T', '1',
@@ -281,41 +285,52 @@ loadDistilledFile(const WorkloadProfile &profile, std::uint64_t records,
     const std::string path = distillFilePath(dir, profile, fp);
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0)
-        return nullptr;
+        return nullptr;  // not cached yet: the normal cold case
 
     struct stat st;
-    if (::fstat(fd, &st) != 0 ||
-        st.st_size < static_cast<off_t>(sizeof(DistillFileHeader))) {
-        ::close(fd);
+    std::size_t len = 0;
+    void *base = MAP_FAILED;
+    if (::fstat(fd, &st) == 0 &&
+        st.st_size >= static_cast<off_t>(sizeof(DistillFileHeader))) {
+        len = static_cast<std::size_t>(st.st_size);
+        base = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
+    }
+    ::close(fd);
+    if (base == MAP_FAILED) {
+        warn("distilled trace %s is truncated or unreadable; "
+             "recomputing", path.c_str());
         return nullptr;
     }
-    const auto len = static_cast<std::size_t>(st.st_size);
-    void *base = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
-    ::close(fd);
-    if (base == MAP_FAILED)
-        return nullptr;
 
     DistillFileHeader hdr;
     std::memcpy(&hdr, base, sizeof(hdr));
-    bool ok = std::memcmp(hdr.magic, kDistillFileMagic,
-                          sizeof(hdr.magic)) == 0 &&
-        hdr.record_count == records &&
-        hdr.key_bytes == fp.key().size();
+    const char *bad = nullptr;
     std::size_t goff = 0;
     std::size_t eoff = 0;
-    if (ok) {
+    if (std::memcmp(hdr.magic, kDistillFileMagic, sizeof(hdr.magic)) != 0 ||
+        hdr.record_count != records || hdr.key_bytes != fp.key().size()) {
+        bad = "has a stale or foreign header";
+    } else if (hdr.event_count > hdr.record_count) {
+        // At most one event per record; this also keeps the length
+        // product below from wrapping.
+        bad = "claims more events than records";
+    } else {
         goff = gapsOffset(hdr.key_bytes);
         eoff = alignUp16(goff + static_cast<std::size_t>(records) *
                                     sizeof(std::uint16_t));
-        ok = len >= eoff + hdr.event_count *
-                 sizeof(DistilledTrace::Event) &&
+        if (len < eoff + hdr.event_count * sizeof(DistilledTrace::Event)) {
+            bad = "is truncated";
+        } else if (std::memcmp(static_cast<const char *>(base) +
+                                   sizeof(hdr),
+                               fp.key().data(), fp.key().size()) != 0) {
             // The stored key must match byte for byte — the digest in
             // the file name already matched, this guards collisions.
-            std::memcmp(static_cast<const char *>(base) + sizeof(hdr),
-                        fp.key().data(), fp.key().size()) == 0;
+            bad = "has a colliding key";
+        }
     }
-    if (!ok) {
+    if (bad != nullptr) {
         ::munmap(base, len);
+        warn("distilled trace %s %s; recomputing", path.c_str(), bad);
         return nullptr;
     }
     return std::make_shared<const DistilledTrace>(

@@ -44,11 +44,13 @@
  * oldest pending load can retire or stall dispatch; it applies the
  * LSQ/MSHR/L2 logic at the event records; tests/test_distilled_trace.cc
  * asserts bit-identity against the live loop for every workload and
- * organization kind. Buffers are shared process-wide per fingerprint
- * (profile, seed mix, L1 geometry, predictor config, MSHR sector,
- * segment cuts) and persisted to NURAPID_TRACE_CACHE_DIR next to the
- * packed .trc files (mmap-loaded). NURAPID_DISTILL=0 falls back to the
- * live per-record loop.
+ * organization kind. The distiller reads SyntheticTrace directly in
+ * one pass, so a distilled run never materializes packed records.
+ * Buffers are shared process-wide per fingerprint (profile, seed mix,
+ * L1 geometry, predictor config, MSHR sector, segment cuts) and
+ * persisted to NURAPID_TRACE_CACHE_DIR as mmap-loaded .dtc files; a
+ * file that fails validation is recomputed with a warning.
+ * NURAPID_DISTILL=0 falls back to the live per-record loop.
  */
 
 #ifndef NURAPID_TRACE_DISTILLED_TRACE_HH
@@ -121,6 +123,10 @@ class DistilledTrace
     };
     static_assert(sizeof(Event) == 32, "events must stay 32 bytes");
 
+    /** Longest distillable stream: Event::rec must index every record
+     *  (the distiller fatal()s past it). */
+    static constexpr std::uint64_t kMaxRecords = std::uint64_t{1} << 32;
+
     /** Replay position: consumed by OooCore::runDistilled, which
      *  advances the fields directly. */
     struct Cursor
@@ -131,8 +137,9 @@ class DistilledTrace
         std::uint64_t pos = 0;  //!< next record index to replay
     };
 
-    /** Distills @p records of (@p profile, @p seed_mix): runs the L1s
-     *  and predictor once and keeps only the event stream. @p cuts are
+    /** Distills @p records of (@p profile, @p seed_mix): generates the
+     *  stream, runs the L1s and predictor over it in the same pass, and
+     *  keeps only the event stream. Fatal past kMaxRecords. @p cuts are
      *  the segment boundaries replay may stop at (ascending, each > 0,
      *  last == @p records); an event is forced at each cut's final
      *  record so folded counters are exact there. */

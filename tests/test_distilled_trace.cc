@@ -5,8 +5,8 @@
  * and same statistics, for every workload profile and every
  * organization kind (this is the guarantee that lets the sweep skip
  * the org-independent work 18 times over). Also covers the disk
- * round-trip, fingerprint invalidation, and the NURAPID_DISTILL=0
- * fallback.
+ * round-trip, recompute of corrupt files, fingerprint invalidation,
+ * the record-index limit, and the NURAPID_DISTILL=0 fallback.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,8 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -177,6 +179,94 @@ TEST(DistilledTrace, DiskRoundTripIsBitIdentical)
                           events.size() * sizeof(events[0])), 0);
 
     ::unsetenv("NURAPID_TRACE_CACHE_DIR");
+}
+
+TEST(DistilledTrace, CorruptFileIsRecomputedWithAWarning)
+{
+    constexpr std::uint64_t kMix = 79;
+    constexpr std::uint64_t kRecords = 6'000;
+    const std::vector<std::uint64_t> cuts{kRecords};
+    const WorkloadProfile prof = findProfile("swim");
+    DistillParams params;
+    params.l1i = l1iOrg();
+    params.l1d = l1dOrg();
+
+    std::string dir = ::testing::TempDir() + "nurapid_distill_XXXXXX";
+    ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+    ::setenv("NURAPID_TRACE_CACHE_DIR", dir.c_str(), 1);
+    const std::string path = dir + "/" + prof.name + "-" +
+        distillFingerprint(prof, kMix, kRecords, cuts, params).digest() +
+        ".dtc";
+
+    // A missing file is the normal cold case: no warning.
+    ::testing::internal::CaptureStderr();
+    auto original =
+        sharedDistilledTrace(prof, kRecords, cuts, params, kMix);
+    EXPECT_EQ(::testing::internal::GetCapturedStderr().find("recomputing"),
+              std::string::npos);
+    ASSERT_FALSE(original->fromFile());
+    ASSERT_TRUE(std::filesystem::exists(path));
+    const std::vector<std::uint16_t> gaps(
+        original->gapData(), original->gapData() + original->size());
+    const std::vector<DistilledTrace::Event> events(
+        original->eventData(),
+        original->eventData() + original->eventCount());
+    original.reset();
+    dropUnusedDistilledTraces();
+
+    // Damages the cached file, then requests the stream again: the
+    // file must be refused with a warning and the stream recomputed
+    // (which rewrites the file whole).
+    auto reloadAfter = [&](const char *what, auto &&damage) {
+        damage();
+        ::testing::internal::CaptureStderr();
+        auto t = sharedDistilledTrace(prof, kRecords, cuts, params, kMix);
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_FALSE(t->fromFile()) << what;
+        EXPECT_NE(err.find("recomputing"), std::string::npos) << what;
+        ASSERT_EQ(t->size(), kRecords) << what;
+        ASSERT_EQ(t->eventCount(), events.size()) << what;
+        EXPECT_EQ(std::memcmp(t->gapData(), gaps.data(),
+                              gaps.size() * sizeof(gaps[0])), 0)
+            << what;
+        EXPECT_EQ(std::memcmp(t->eventData(), events.data(),
+                              events.size() * sizeof(events[0])), 0)
+            << what;
+        t.reset();
+        dropUnusedDistilledTraces();
+    };
+    // event_count sits after the 8-byte magic and the record count;
+    // 2^59 events of 32 bytes wrap a 64-bit length check to zero.
+    reloadAfter("event_count patched to 2^59", [&] {
+        std::fstream f(path, std::ios::in | std::ios::out |
+                                 std::ios::binary);
+        const std::uint64_t huge = std::uint64_t{1} << 59;
+        f.seekp(16);
+        f.write(reinterpret_cast<const char *>(&huge), sizeof(huge));
+    });
+    reloadAfter("truncated by one byte", [&] {
+        std::filesystem::resize_file(path,
+                                     std::filesystem::file_size(path) - 1);
+    });
+
+    // The rewritten file loads again.
+    auto reloaded =
+        sharedDistilledTrace(prof, kRecords, cuts, params, kMix);
+    EXPECT_TRUE(reloaded->fromFile());
+
+    ::unsetenv("NURAPID_TRACE_CACHE_DIR");
+}
+
+TEST(DistilledTrace, RefusesStreamsPastTheRecordIndexWidth)
+{
+    // Event::rec is 32 bits wide: a longer stream would wrap it.
+    const std::uint64_t records = DistilledTrace::kMaxRecords + 1;
+    DistillParams params;
+    params.l1i = l1iOrg();
+    params.l1d = l1dOrg();
+    EXPECT_EXIT(DistilledTrace(findProfile("gzip"), records, {records},
+                               params),
+                ::testing::ExitedWithCode(1), "NURAPID_DISTILL=0");
 }
 
 TEST(DistilledTrace, FingerprintChangesWithEveryKeyedParameter)

@@ -10,11 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <string>
 #include <vector>
-
-#include <sys/stat.h>
 
 #include "sim/runner/run_engine.hh"
 #include "sim/system.hh"
@@ -122,30 +118,6 @@ TEST(PackedTrace, RegistrySharesAndExtendsBuffers)
     }
 }
 
-TEST(PackedTrace, SourceAdapterMatchesLiveTraceAndResets)
-{
-    const WorkloadProfile prof = findProfile("twolf");
-    const auto shared = sharedPackedTrace(prof, 3'000);
-    PackedTraceSource src(shared);
-    SyntheticTrace live(prof);
-
-    TraceRecord a, b;
-    for (std::uint64_t i = 0; i < 3'000; ++i) {
-        ASSERT_TRUE(src.next(a));
-        ASSERT_TRUE(live.next(b));
-        expectSameRecord(a, b, "adapter", i);
-    }
-    EXPECT_FALSE(src.next(a));
-
-    src.reset();
-    live.reset();
-    for (std::uint64_t i = 0; i < 3'000; ++i) {
-        ASSERT_TRUE(src.next(a));
-        ASSERT_TRUE(live.next(b));
-        expectSameRecord(a, b, "adapter after reset", i);
-    }
-}
-
 TEST(PackedTrace, WorkersSharingOneBufferStayBitIdentical)
 {
     // Four organizations against the *same* workload: every worker
@@ -178,67 +150,6 @@ TEST(PackedTrace, WorkersSharingOneBufferStayBitIdentical)
             << ": workers sharing one packed buffer diverged";
         EXPECT_GT(b[i].instructions, 0u);
     }
-}
-
-TEST(PackedTrace, DiskCacheRoundTripIsBitIdentical)
-{
-    // A distinct seed mix keeps this test's registry entries and cache
-    // files disjoint from every other test in the binary.
-    constexpr std::uint64_t kMix = 99;
-    const WorkloadProfile prof = findProfile("swim");
-    // Fresh directory per run: a leftover file from an earlier run
-    // would satisfy the very first request from disk.
-    std::string dir = ::testing::TempDir() + "nurapid_trace_XXXXXX";
-    ASSERT_NE(::mkdtemp(dir.data()), nullptr);
-    ::setenv("NURAPID_TRACE_CACHE_DIR", dir.c_str(), 1);
-
-    // First request generates and persists.
-    auto generated = sharedPackedTrace(prof, 6'000, kMix);
-    ASSERT_TRUE(generated->extendable());
-    const PackedTrace reference(prof, 9'000, kMix);
-
-    // Drop the in-memory buffer so the next request must hit the file.
-    generated.reset();
-    dropUnusedPackedTraces();
-    auto loaded = sharedPackedTrace(prof, 6'000, kMix);
-    EXPECT_FALSE(loaded->extendable())
-        << "second process-equivalent request should load from disk";
-    PackedTrace::Cursor a = loaded->cursor(6'000);
-    PackedTrace::Cursor b = reference.cursor(6'000);
-    TraceRecord ra, rb;
-    for (std::uint64_t i = 0; i < 6'000; ++i) {
-        ASSERT_TRUE(a.next(ra));
-        ASSERT_TRUE(b.next(rb));
-        expectSameRecord(ra, rb, "disk round-trip", i);
-    }
-
-    // A longer request cannot extend a loaded buffer: it regenerates
-    // from scratch and rewrites the file, still bit-identical.
-    auto longer = sharedPackedTrace(prof, 9'000, kMix);
-    ASSERT_GE(longer->size(), 9'000u);
-    a = longer->cursor(9'000);
-    b = reference.cursor(9'000);
-    for (std::uint64_t i = 0; i < 9'000; ++i) {
-        ASSERT_TRUE(a.next(ra));
-        ASSERT_TRUE(b.next(rb));
-        expectSameRecord(ra, rb, "regenerated past loaded buffer", i);
-    }
-
-    // And the rewritten longer file loads back too.
-    longer.reset();
-    loaded.reset();
-    dropUnusedPackedTraces();
-    auto reloaded = sharedPackedTrace(prof, 9'000, kMix);
-    EXPECT_FALSE(reloaded->extendable());
-    a = reloaded->cursor(9'000);
-    b = reference.cursor(9'000);
-    for (std::uint64_t i = 0; i < 9'000; ++i) {
-        ASSERT_TRUE(a.next(ra));
-        ASSERT_TRUE(b.next(rb));
-        expectSameRecord(ra, rb, "reloaded longer file", i);
-    }
-
-    ::unsetenv("NURAPID_TRACE_CACHE_DIR");
 }
 
 } // namespace

@@ -70,6 +70,23 @@ TEST(System, RunProducesCoherentMetrics)
     EXPECT_GT(m.energy.edp, 0.0);
 }
 
+TEST(System, DistilledRunBuildsNoPackedTrace)
+{
+    // The distiller generates its records itself; only the live loop
+    // reads a packed buffer.
+    setenv("NURAPID_DISTILL", "1", 1);
+    dropUnusedDistilledTraces();
+    dropUnusedPackedTraces();
+    {
+        System sys(OrgSpec::nurapidDefault(), findProfile("gzip"),
+                   SimLength{10'000, 30'000});
+        EXPECT_GT(sys.runAll().instructions, 0u);
+    }
+    EXPECT_EQ(dropUnusedPackedTraces(), 0u)
+        << "a distilled run built a packed trace";
+    unsetenv("NURAPID_DISTILL");
+}
+
 TEST(System, MissCountsMatchAcrossOrganizations)
 {
     // All four organizations have 8 MB of on-chip capacity below L1
