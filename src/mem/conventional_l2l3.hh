@@ -23,8 +23,8 @@ class ConventionalL2L3 final : public LowerMemory
   public:
     struct Params
     {
-        CacheOrg l2{"base.l2", 1ull << 20, 8, 128, ReplPolicy::LRU};
-        CacheOrg l3{"base.l3", 8ull << 20, 8, 128, ReplPolicy::LRU};
+        CacheOrg l2{"base.l2", 1ull << 20, 8, 128};
+        CacheOrg l3{"base.l3", 8ull << 20, 8, 128};
         Cycles l2_latency = 11;   //!< Table 1 input
         Cycles l3_latency = 43;   //!< Table 1 input
         MainMemory::Params memory{};

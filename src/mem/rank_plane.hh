@@ -2,13 +2,12 @@
  * @file
  * Packed exact-LRU rank planes.
  *
- * PR 8 left every organization with one 64-bit recency stamp per way
- * (plus a monotonic clock); the profiler showed that upkeep of those
- * stamps — not the tag probe — dominates per-reference org time.  A
- * RankPlane stores the same total order as a permutation of
- * 0..ways-1 packed into 4-bit fields (<= 16 ways, one u64 per set) or
- * 8-bit fields (up to the 64-way cap), cutting recency bytes touched
- * per reference by 8-16x.
+ * A RankPlane stores each set's recency order as a permutation of
+ * 0..ways-1 packed into 4-bit fields, one u64 per set, instead of one
+ * 64-bit stamp per way plus a monotonic clock — 16x fewer recency
+ * bytes touched per reference. The 4-bit fields cap every user at 16
+ * ways (kMaxWays); each organization that keeps a plane checks its
+ * associativity against the cap and names itself when it fails.
  *
  * Invariant: for every set, the ranks of ALL ways (valid or not) form
  * a permutation of 0..ways-1; rank 0 is MRU, rank ways-1 is LRU.
@@ -23,12 +22,11 @@
  *    Done branchlessly with a SWAR increment-below-rank kernel: set
  *    the per-field guard bit, subtract the broadcast rank, and the
  *    guard survives exactly in fields >= r.  Fields padded to the
- *    word boundary hold the field maximum (15 / 255), never satisfy
- *    "< r", and so never increment.
+ *    word boundary hold 15, never satisfy "< r", and so never
+ *    increment.
  *  - swapWays(set, a, b): exchange two rank fields.
- *  - init: rank[w] = w, matching the intrusive chains' construction
- *    order (head = way 0, tail = way ways-1) and a virtual stamp
- *    plane initialised with descending stamps.
+ *  - init: rank[w] = w, matching a virtual stamp plane initialised
+ *    with descending stamps.
  *
  * tests/test_rank_planes.cc drives a plane and a 64-bit stamp model
  * under identical churn and requires bit-equal answers.
@@ -41,7 +39,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/bitops.hh"
 #include "common/logging.hh"
 
 namespace nurapid {
@@ -49,40 +46,24 @@ namespace nurapid {
 class RankPlane
 {
   public:
+    /** Ways one 4-bit-field word can rank. */
+    static constexpr std::uint32_t kMaxWays = 16;
+
     RankPlane() = default;
     RankPlane(std::uint32_t sets, std::uint32_t ways) { init(sets, ways); }
 
     void
     init(std::uint32_t sets, std::uint32_t ways)
     {
-        panic_if(ways == 0 || ways > 64,
-                 "RankPlane supports 1..64 ways, got %u", ways);
+        panic_if(ways == 0 || ways > kMaxWays,
+                 "RankPlane supports 1..%u ways, got %u", kMaxWays, ways);
         ways_ = ways;
-        packed4_ = ways <= 16;
-        if (packed4_) {
-            wordsPerSet_ = 1;
-            wpsShift_ = 0;
-            std::uint64_t seed = 0;
-            for (std::uint32_t w = 0; w < 16; ++w) {
-                const std::uint64_t f = w < ways ? w : 0xF;
-                seed |= f << (w * 4);
-            }
-            words_.assign(sets, seed);
-        } else {
-            // 8-bit fields; power-of-two words per set for shift
-            // indexing (17..32 ways -> 4 words, 33..64 -> 8).
-            wordsPerSet_ = ways <= 32 ? 4 : 8;
-            wpsShift_ = floorLog2(wordsPerSet_);
-            std::vector<std::uint64_t> seed(wordsPerSet_, 0);
-            for (std::uint32_t w = 0; w < wordsPerSet_ * 8; ++w) {
-                const std::uint64_t f = w < ways ? w : 0xFF;
-                seed[w / 8] |= f << ((w % 8) * 8);
-            }
-            words_.resize(std::size_t{sets} << wpsShift_);
-            for (std::uint32_t s = 0; s < sets; ++s)
-                for (std::uint32_t i = 0; i < wordsPerSet_; ++i)
-                    words_[(std::size_t{s} << wpsShift_) + i] = seed[i];
+        std::uint64_t seed = 0;
+        for (std::uint32_t w = 0; w < kMaxWays; ++w) {
+            const std::uint64_t f = w < ways ? w : 0xF;
+            seed |= f << (w * 4);
         }
+        words_.assign(sets, seed);
     }
 
     std::uint32_t ways() const { return ways_; }
@@ -91,73 +72,43 @@ class RankPlane
     std::uint32_t
     rankOf(std::uint32_t set, std::uint32_t way) const
     {
-        if (packed4_)
-            return (words_[set] >> (way * 4)) & 0xF;
-        const std::uint64_t w =
-            words_[(std::size_t{set} << wpsShift_) + (way >> 3)];
-        return (w >> ((way & 7) * 8)) & 0xFF;
+        return (words_[set] >> (way * 4)) & 0xF;
     }
 
     /** Move @p way to MRU (rank 0); every way ranked above it slides
-     *  down by one.  No-op when already MRU — the same early exit the
-     *  chain code took at the list head. */
+     *  down by one.  No-op when already MRU. */
     void
     touch(std::uint32_t set, std::uint32_t way)
     {
         constexpr std::uint64_t kH = 0x8080808080808080ULL;
         constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
-        if (packed4_) {
-            std::uint64_t &w = words_[set];
-            const unsigned sh = way * 4;
-            const std::uint64_t r = (w >> sh) & 0xF;
-            if (r == 0)
-                return;
-            // Per-byte "field < r" guard on the low and high nibble
-            // lanes; v <= 15 and r <= 15 keep (v|0x80) - r borrow-free
-            // and v+1 <= 15 keeps the increments from carrying.
-            constexpr std::uint64_t kM = 0x0F0F0F0F0F0F0F0FULL;
-            const std::uint64_t rb = r * kOnes;
-            const std::uint64_t lo = w & kM;
-            const std::uint64_t hi = (w >> 4) & kM;
-            const std::uint64_t incLo = ~((lo | kH) - rb) & kH;
-            const std::uint64_t incHi = ~((hi | kH) - rb) & kH;
-            w = (w + ((incLo >> 7) | ((incHi >> 7) << 4))) &
-                ~(0xFULL << sh);
-        } else {
-            std::uint64_t *w = &words_[std::size_t{set} << wpsShift_];
-            const unsigned sh = (way & 7) * 8;
-            const std::uint64_t r = (w[way >> 3] >> sh) & 0xFF;
-            if (r == 0)
-                return;
-            const std::uint64_t rb = r * kOnes;
-            for (std::uint32_t i = 0; i < wordsPerSet_; ++i)
-                w[i] += (~((w[i] | kH) - rb) & kH) >> 7;
-            w[way >> 3] &= ~(0xFFULL << sh);
-        }
+        constexpr std::uint64_t kM = 0x0F0F0F0F0F0F0F0FULL;
+        std::uint64_t &w = words_[set];
+        const unsigned sh = way * 4;
+        const std::uint64_t r = (w >> sh) & 0xF;
+        if (r == 0)
+            return;
+        // Per-byte "field < r" guard on the low and high nibble lanes;
+        // v <= 15 and r <= 15 keep (v|0x80) - r borrow-free and
+        // v+1 <= 15 keeps the increments from carrying.
+        const std::uint64_t rb = r * kOnes;
+        const std::uint64_t lo = w & kM;
+        const std::uint64_t hi = (w >> 4) & kM;
+        const std::uint64_t incLo = ~((lo | kH) - rb) & kH;
+        const std::uint64_t incHi = ~((hi | kH) - rb) & kH;
+        w = (w + ((incLo >> 7) | ((incHi >> 7) << 4))) & ~(0xFULL << sh);
     }
 
     /** Exchange the ranks of two ways (promotion/demotion swaps). */
     void
     swapWays(std::uint32_t set, std::uint32_t a, std::uint32_t b)
     {
-        if (packed4_) {
-            std::uint64_t &w = words_[set];
-            const unsigned sa = a * 4, sb = b * 4;
-            const std::uint64_t ra = (w >> sa) & 0xF;
-            const std::uint64_t rb = (w >> sb) & 0xF;
-            w &= ~((0xFULL << sa) | (0xFULL << sb));
-            w |= (ra << sb) | (rb << sa);
-        } else {
-            const std::size_t base = std::size_t{set} << wpsShift_;
-            std::uint64_t &wa = words_[base + (a >> 3)];
-            const unsigned sa = (a & 7) * 8;
-            const std::uint64_t ra = (wa >> sa) & 0xFF;
-            std::uint64_t &wb = words_[base + (b >> 3)];
-            const unsigned sb = (b & 7) * 8;
-            const std::uint64_t rb = (wb >> sb) & 0xFF;
-            wa = (wa & ~(0xFFULL << sa)) | (rb << sa);
-            wb = (wb & ~(0xFFULL << sb)) | (ra << sb);
-        }
+        std::uint64_t &w = words_[set];
+        const unsigned sa = a * 4, sb = b * 4;
+        const std::uint64_t ra = (w >> sa) & 0xF;
+        const std::uint64_t rb = (w >> sb) & 0xF;
+        w &= ~((0xFULL << sa) | (0xFULL << sb));
+        w |= (ra << sb) | (rb << sa);
     }
 
     /** Way holding the maximum rank (the LRU way) over all ways. */
@@ -198,16 +149,16 @@ class RankPlane
     }
 
     /** Audit helper: the set's ranks form a permutation of
-     *  0..ways-1 (and pad fields still hold the field maximum). */
+     *  0..ways-1. */
     bool
     isPermutation(std::uint32_t set) const
     {
-        std::uint64_t seen = 0;
+        std::uint32_t seen = 0;
         for (std::uint32_t w = 0; w < ways_; ++w) {
             const std::uint32_t r = rankOf(set, w);
-            if (r >= ways_ || (seen & (std::uint64_t{1} << r)))
+            if (r >= ways_ || (seen & (std::uint32_t{1} << r)))
                 return false;
-            seen |= std::uint64_t{1} << r;
+            seen |= std::uint32_t{1} << r;
         }
         return true;
     }
@@ -215,9 +166,6 @@ class RankPlane
   private:
     std::vector<std::uint64_t> words_;
     std::uint32_t ways_ = 0;
-    std::uint32_t wordsPerSet_ = 0;
-    unsigned wpsShift_ = 0;
-    bool packed4_ = false;
 };
 
 } // namespace nurapid

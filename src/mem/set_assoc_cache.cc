@@ -30,39 +30,23 @@ SetAssocCache::SetAssocCache(const CacheOrg &org)
              "%s: capacity not divisible by assoc*block", org.name.c_str());
     fatal_if(!isPowerOf2(sets), "%s: set count %u not pow2",
              org.name.c_str(), sets);
-    fatal_if(org.assoc == 0 || org.assoc > 64,
-             "%s: associativity %u outside the bitmap-word range 1..64",
-             org.name.c_str(), org.assoc);
+    fatal_if(org.assoc == 0 || org.assoc > RankPlane::kMaxWays,
+             "%s: associativity %u outside the rank-plane range 1..%u",
+             org.name.c_str(), org.assoc, RankPlane::kMaxWays);
     blockShift = floorLog2(org.block_bytes);
     tagShift = blockShift + floorLog2(sets);
 
     strideShift = ceilLog2(org.assoc);
     wayStride = std::uint32_t{1} << strideShift;
-    waysMask = org.assoc == 64
-        ? ~std::uint64_t{0}
-        : (std::uint64_t{1} << org.assoc) - 1;
+    waysMask = (std::uint64_t{1} << org.assoc) - 1;
 
     tagPlane.assign(std::size_t{sets} << strideShift, 0);
     validBits.assign(sets, 0);
     dirtyBits.assign(sets, 0);
 
-    switch (org.repl) {
-      case ReplPolicy::LRU:
-        // Rank each set's ways in index order; the order is arbitrary
-        // (every way is touched at fill before a victim is consulted).
-        lruRanks.init(sets, org.assoc);
-        break;
-      case ReplPolicy::TreePLRU:
-        fatal_if(!isPowerOf2(org.assoc) || org.assoc < 2,
-                 "tree-PLRU needs a power-of-two way count >= 2, got %u",
-                 org.assoc);
-        plruNodesPerSet = org.assoc - 1;
-        plruTree.assign(std::size_t{sets} * plruNodesPerSet, 0);
-        break;
-      case ReplPolicy::Random:
-        replRng.reseed(org.repl_seed);
-        break;
-    }
+    // Rank each set's ways in index order; the order is arbitrary
+    // (every way is touched at fill before a victim is consulted).
+    lruRanks.init(sets, org.assoc);
 
     statGroup.addCounter("hits", cnt.hits);
     statGroup.addCounter("misses", cnt.misses);
@@ -76,13 +60,13 @@ SetAssocCache::accessMiss(std::uint32_t set, Addr tag, bool is_write)
     ++cnt.misses;
 
     Access result;
-    // Prefer the lowest invalid way; otherwise consult the policy.
+    // Prefer the lowest invalid way; otherwise evict the LRU way.
     std::uint32_t victim_way;
     const std::uint64_t invalid = ~validBits[set] & waysMask;
     if (invalid)
         victim_way = static_cast<std::uint32_t>(std::countr_zero(invalid));
     else
-        victim_way = victimWay(set);
+        victim_way = lruRanks.lruWay(set);
 
     const std::size_t row = rowOf(set);
     const std::uint64_t way_bit = std::uint64_t{1} << victim_way;
@@ -103,7 +87,7 @@ SetAssocCache::accessMiss(std::uint32_t set, Addr tag, bool is_write)
         dirtyBits[set] |= way_bit;
     else
         dirtyBits[set] &= ~way_bit;
-    touchRepl(set, victim_way);
+    lruRanks.touch(set, victim_way);
 
     result.way = victim_way;
     return result;
@@ -192,21 +176,19 @@ SetAssocCache::audit(AuditSink &sink) const
         }
     }
 
-    if (organization.repl == ReplPolicy::LRU) {
-        // The rank plane must hold a permutation of 0..assoc-1 per
-        // set; a duplicated or out-of-range rank corrupts victim
-        // choice (and voids the exact-LRU tie-free guarantee).
-        for (std::uint32_t s = 0; s < sets; ++s) {
-            if (!lruRanks.isPermutation(s)) {
-                clean = false;
-                sink.violation({organization.name, "lru-rank",
-                                strprintf("set %u recency ranks are not "
-                                          "a permutation of %u ways", s,
-                                          organization.assoc),
-                                s, AuditViolation::kNoIndex,
-                                AuditViolation::kNoIndex,
-                                AuditViolation::kNoIndex});
-            }
+    // The rank plane must hold a permutation of 0..assoc-1 per set; a
+    // duplicated or out-of-range rank corrupts victim choice (and
+    // voids the exact-LRU tie-free guarantee).
+    for (std::uint32_t s = 0; s < sets; ++s) {
+        if (!lruRanks.isPermutation(s)) {
+            clean = false;
+            sink.violation({organization.name, "lru-rank",
+                            strprintf("set %u recency ranks are not a "
+                                      "permutation of %u ways", s,
+                                      organization.assoc),
+                            s, AuditViolation::kNoIndex,
+                            AuditViolation::kNoIndex,
+                            AuditViolation::kNoIndex});
         }
     }
 

@@ -12,18 +12,14 @@
  * valid and one dirty bitmap word per set, and a packed exact-LRU
  * rank plane (mem/rank_plane.hh) — the probe path touches one dense
  * row plus three words instead of walking an array of per-Line
- * records. The tag compare itself is the vectorized kernel of
- * mem/tag_probe.hh. Associativity is capped at 64 so one bitmap word
- * always covers a set.
+ * records. The tag compare is the scalar loop of mem/tag_probe.hh.
+ * Associativity is capped at 16, the rank plane's 4-bit field limit.
  *
- * The replacement policy is embedded rather than held behind the
- * polymorphic Replacer interface: access() sits inside the simulator's
- * per-reference loop (every L1 I/D reference lands here), so the
- * policy update must inline into it. LRU keeps a per-set permutation
- * of way ranks (rank 0 = MRU, max rank = victim) — exactly equivalent
- * to chain- or stamp-based LRU because ranks are always distinct, so
- * there are no ties for an encoding to break differently. Tree-PLRU
- * and Random mirror the Replacer implementations bit for bit.
+ * Replacement is LRU only (every cache the experiments build is
+ * LRU, Section 2.4.2). The per-set permutation of way ranks (rank 0 =
+ * MRU, max rank = victim) is exactly equivalent to chain- or
+ * stamp-based LRU because ranks are always distinct, so there are no
+ * ties for an encoding to break differently.
  */
 
 #ifndef NURAPID_MEM_SET_ASSOC_CACHE_HH
@@ -35,11 +31,9 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/rank_plane.hh"
-#include "mem/replacement.hh"
 #include "mem/tag_probe.hh"
 #include "sim/audit/audit.hh"
 
@@ -52,8 +46,6 @@ struct CacheOrg
     std::uint64_t capacity_bytes = 0;
     std::uint32_t assoc = 1;
     std::uint32_t block_bytes = 64;
-    ReplPolicy repl = ReplPolicy::LRU;
-    std::uint64_t repl_seed = 1;
 
     std::uint32_t numSets() const;
     std::uint32_t numBlocks() const;
@@ -93,7 +85,7 @@ class SetAssocCache
             const auto w = static_cast<std::uint32_t>(
                 std::countr_zero(match));
             ++cnt.hits;
-            touchRepl(set, w);
+            lruRanks.touch(set, w);
             if (is_write)
                 dirtyBits[set] |= std::uint64_t{1} << w;
             Access result;
@@ -154,21 +146,21 @@ class SetAssocCache
     /**
      * Audits tag-store integrity: no set holds two valid lines with
      * the same tag (a duplicate silently halves effective capacity and
-     * makes hit way selection order-dependent), and under LRU each
-     * set's recency chain is a consistent permutation of its ways.
+     * makes hit way selection order-dependent), and each set's
+     * recency ranks are a permutation of its ways.
      * Violations go to @p sink under component name "<org name>";
      * returns true if clean. Allocation-free on the clean path.
      */
     bool audit(AuditSink &sink) const;
 
-    /** Bytes of per-reference hot state (planes + bitmaps), the
-     *  summed into the owning organization's hotStateBytes(). */
+    /** Bytes of per-reference hot state (planes + bitmaps), summed
+     *  into the owning organization's hotStateBytes(). */
     std::size_t
     hotBytes() const
     {
         return (tagPlane.size() + validBits.size() + dirtyBits.size()) *
                    sizeof(std::uint64_t) +
-               lruRanks.bytes() + plruTree.size();
+               lruRanks.bytes();
     }
 
   private:
@@ -184,78 +176,6 @@ class SetAssocCache
     /** Miss path of access(): victim selection and fill. */
     Access accessMiss(std::uint32_t set, Addr tag, bool is_write);
 
-    /** Records a hit or fill on (set, way) in the embedded policy. */
-    void
-    touchRepl(std::uint32_t set, std::uint32_t way)
-    {
-        switch (organization.repl) {
-          case ReplPolicy::LRU:
-            lruRanks.touch(set, way);
-            break;
-          case ReplPolicy::TreePLRU:
-            plruTouch(set, way);
-            break;
-          case ReplPolicy::Random:
-            break;
-        }
-    }
-
-    /** Nominates a victim in a fully valid @p set. */
-    std::uint32_t
-    victimWay(std::uint32_t set)
-    {
-        switch (organization.repl) {
-          case ReplPolicy::LRU:
-            return lruRanks.lruWay(set);
-          case ReplPolicy::TreePLRU:
-            return plruVictim(set);
-          case ReplPolicy::Random:
-            return replRng.below(organization.assoc);
-        }
-        return 0;
-    }
-
-    void
-    plruTouch(std::uint32_t set, std::uint32_t way)
-    {
-        // Walk from the root towards the touched leaf, pointing every
-        // node *away* from the path taken.
-        const std::size_t base = std::size_t{set} * plruNodesPerSet;
-        std::uint32_t node = 0;
-        std::uint32_t lo = 0;
-        std::uint32_t hi = organization.assoc;
-        while (hi - lo > 1) {
-            const std::uint32_t mid = (lo + hi) / 2;
-            const bool went_right = way >= mid;
-            plruTree[base + node] =
-                static_cast<std::uint8_t>(!went_right);
-            node = 2 * node + (went_right ? 2 : 1);
-            if (went_right)
-                lo = mid;
-            else
-                hi = mid;
-        }
-    }
-
-    std::uint32_t
-    plruVictim(std::uint32_t set) const
-    {
-        const std::size_t base = std::size_t{set} * plruNodesPerSet;
-        std::uint32_t node = 0;
-        std::uint32_t lo = 0;
-        std::uint32_t hi = organization.assoc;
-        while (hi - lo > 1) {
-            const std::uint32_t mid = (lo + hi) / 2;
-            const bool go_right = plruTree[base + node] != 0;
-            node = 2 * node + (go_right ? 2 : 1);
-            if (go_right)
-                lo = mid;
-            else
-                hi = mid;
-        }
-        return lo;
-    }
-
     CacheOrg organization;
     std::uint32_t sets;
     unsigned blockShift = 0;   //!< log2(block_bytes)
@@ -270,12 +190,7 @@ class SetAssocCache
     std::vector<std::uint64_t> validBits;  //!< [set]
     std::vector<std::uint64_t> dirtyBits;  //!< [set]
 
-    // Embedded replacement state (only the active policy's planes are
-    // populated). LRU is a packed per-set rank permutation.
-    RankPlane lruRanks;
-    std::uint32_t plruNodesPerSet = 0;
-    std::vector<std::uint8_t> plruTree;  //!< [set * nodesPerSet + node]
-    Rng replRng;
+    RankPlane lruRanks;  //!< per-set LRU rank permutation
 
     StatGroup statGroup;
     /** Counters grouped into one cache line so the stat updates of one

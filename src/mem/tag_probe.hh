@@ -11,8 +11,9 @@
  *
  * The caller ANDs the result with its per-set valid bitmap, which also
  * clears any padding lanes past the real associativity — the kernels
- * may therefore read (and match) pad words freely. Way counts are
- * capped at 64 so one mask word always covers a row.
+ * may therefore read (and match) pad words freely. Every caller caps
+ * its way count at 16 (the rank planes' limit), so one mask word
+ * always covers a row.
  *
  * The masked variant implements D-NUCA's partial-tag smart-search
  * compare, (tags[w] & mask) == needle, with the same lane order.

@@ -21,12 +21,12 @@ DNucaCache::DNucaCache(const SramMacroModel &model, const Params &params)
       bankFree(std::size_t{p.rows} * p.cols, 0),
       mem(p.memory), statGroup(p.name), regionHist(p.rows)
 {
+    fatal_if(p.assoc == 0 || p.assoc > RankPlane::kMaxWays,
+             "%s: D-NUCA associativity %u outside the rank-plane range "
+             "1..%u", p.name.c_str(), p.assoc, RankPlane::kMaxWays);
     fatal_if(p.assoc % p.rows != 0,
              "associativity %u not divisible across %u bank rows",
              p.assoc, p.rows);
-    fatal_if(p.assoc == 0 || p.assoc > 64,
-             "associativity %u outside the bitmap-word range 1..64",
-             p.assoc);
     fatal_if(!isPowerOf2(sets), "set count %u not a power of two", sets);
     fatal_if(!isPowerOf2(p.cols), "bank-set count %u not a power of two",
              p.cols);
@@ -37,9 +37,7 @@ DNucaCache::DNucaCache(const SramMacroModel &model, const Params &params)
 
     strideShift = ceilLog2(p.assoc);
     wayStride = std::uint32_t{1} << strideShift;
-    waysMask = p.assoc == 64
-        ? ~std::uint64_t{0}
-        : (std::uint64_t{1} << p.assoc) - 1;
+    waysMask = (std::uint64_t{1} << p.assoc) - 1;
     tagPlane.assign(std::size_t{sets} << strideShift, 0);
     validBits.assign(sets, 0);
     dirtyBits.assign(sets, 0);
@@ -94,9 +92,7 @@ std::uint32_t
 DNucaCache::lruWayInRow(std::uint32_t set, std::uint32_t row) const
 {
     const std::uint32_t first = row * waysPerRow;
-    const std::uint64_t row_bits = waysPerRow >= 64
-        ? ~std::uint64_t{0}
-        : (std::uint64_t{1} << waysPerRow) - 1;
+    const std::uint64_t row_bits = (std::uint64_t{1} << waysPerRow) - 1;
     // Lowest invalid way of the row wins outright.
     const std::uint64_t row_invalid =
         (~validBits[set] >> first) & row_bits;

@@ -22,7 +22,7 @@ SNucaCache::SNucaCache(const SramMacroModel &model, const Params &params)
     for (std::uint32_t b = 0; b < p.rows * p.cols; ++b) {
         banks.emplace_back(CacheOrg{
             strprintf("%s.bank%u", p.name.c_str(), b), bank_bytes,
-            p.assoc, p.block_bytes, ReplPolicy::LRU, b + 1});
+            p.assoc, p.block_bytes});
     }
 
     statGroup.addCounter("demand_accesses", cnt.demandAccesses);

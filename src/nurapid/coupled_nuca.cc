@@ -20,11 +20,12 @@ CoupledNucaCache::CoupledNucaCache(const SramMacroModel &model,
       waysPerGroup(p.assoc / p.num_dgroups),
       mem(p.memory), statGroup(p.name), regionHist(p.num_dgroups)
 {
+    fatal_if(p.assoc == 0 || p.assoc > RankPlane::kMaxWays,
+             "%s: coupled NUCA associativity %u outside the rank-plane "
+             "range 1..%u", p.name.c_str(), p.assoc, RankPlane::kMaxWays);
     fatal_if(p.assoc % p.num_dgroups != 0,
              "associativity %u not divisible across %u d-groups",
              p.assoc, p.num_dgroups);
-    fatal_if(p.assoc == 0 || p.assoc > 64,
-             "associativity %u outside the bitmap range 1..64", p.assoc);
     fatal_if(!isPowerOf2(sets), "set count %u not a power of two", sets);
     fatal_if(!isPowerOf2(p.block_bytes),
              "block size %u not a power of two", p.block_bytes);
@@ -33,8 +34,7 @@ CoupledNucaCache::CoupledNucaCache(const SramMacroModel &model,
 
     strideShift = ceilLog2(p.assoc);
     wayStride = std::uint32_t{1} << strideShift;
-    waysMask = p.assoc == 64 ? ~std::uint64_t{0}
-                             : (std::uint64_t{1} << p.assoc) - 1;
+    waysMask = (std::uint64_t{1} << p.assoc) - 1;
     tagPlane.assign(std::size_t{sets} << strideShift, 0);
     ranks.init(sets, p.assoc);
     validBits.assign(sets, 0);
@@ -70,9 +70,8 @@ CoupledNucaCache::lruWayInGroup(std::uint32_t set,
     // Lowest invalid way of the group wins outright (the historical
     // scan returned the first invalid way in index order).
     const std::uint32_t first = group * waysPerGroup;
-    const std::uint64_t group_bits = waysPerGroup >= 64
-        ? ~std::uint64_t{0}
-        : (std::uint64_t{1} << waysPerGroup) - 1;
+    const std::uint64_t group_bits =
+        (std::uint64_t{1} << waysPerGroup) - 1;
     const std::uint64_t group_invalid =
         (~validBits[set] >> first) & group_bits;
     if (group_invalid) {

@@ -11,9 +11,7 @@ NuRapidCache::NuRapidCache(const SramMacroModel &model, const Params &params)
     : p(params),
       times(makeNuRapidTiming(model, p.capacity_bytes, p.num_dgroups,
                               p.assoc, p.block_bytes)),
-      tagArray(p.capacity_bytes, p.assoc, p.block_bytes,
-               static_cast<std::uint32_t>(
-                   p.capacity_bytes / p.num_dgroups / p.block_bytes - 1)),
+      tagArray(p.capacity_bytes, p.assoc, p.block_bytes),
       dataArray(p.num_dgroups,
                 static_cast<std::uint32_t>(
                     p.capacity_bytes / p.num_dgroups / p.block_bytes),
@@ -22,9 +20,7 @@ NuRapidCache::NuRapidCache(const SramMacroModel &model, const Params &params)
                     : static_cast<std::uint32_t>(
                           p.capacity_bytes / p.num_dgroups / p.block_bytes /
                           p.frame_restriction),
-                p.distance_repl, p.seed,
-                static_cast<std::uint32_t>(
-                    p.capacity_bytes / p.assoc / p.block_bytes)),
+                p.distance_repl, p.seed),
       mem(p.memory), statGroup(p.name), regionHist(p.num_dgroups)
 {
     fatal_if(!isPowerOf2(p.block_bytes),

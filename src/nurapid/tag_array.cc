@@ -6,15 +6,14 @@
 namespace nurapid {
 
 TagArray::TagArray(std::uint64_t capacity_bytes, std::uint32_t assoc,
-                   std::uint32_t block_bytes, std::uint32_t max_frame)
+                   std::uint32_t block_bytes)
     : sets(static_cast<std::uint32_t>(
           capacity_bytes / (std::uint64_t{assoc} * block_bytes))),
       ways(assoc), blockSize(block_bytes)
 {
-    fatal_if(assoc == 0, "tag array with zero associativity");
-    fatal_if(assoc > 64,
-             "tag array associativity %u outside the bitmap-word "
-             "range 1..64", assoc);
+    fatal_if(assoc == 0 || assoc > RankPlane::kMaxWays,
+             "NuRAPID tag array: associativity %u outside the rank-plane "
+             "range 1..%u", assoc, RankPlane::kMaxWays);
     fatal_if(!isPowerOf2(block_bytes), "block size %u not a power of two",
              block_bytes);
     fatal_if(!isPowerOf2(sets), "set count %u not a power of two", sets);
@@ -23,16 +22,14 @@ TagArray::TagArray(std::uint64_t capacity_bytes, std::uint32_t assoc,
 
     strideShift = ceilLog2(ways);
     wayStride = std::uint32_t{1} << strideShift;
-    waysMask = ways == 64
-        ? ~std::uint64_t{0}
-        : (std::uint64_t{1} << ways) - 1;
+    waysMask = (std::uint64_t{1} << ways) - 1;
 
     const std::size_t plane = std::size_t{sets} << strideShift;
     tagPlane.assign(plane, 0);
     validBits.assign(sets, 0);
     dirtyBits.assign(sets, 0);
     groupPlane.assign(plane, 0);
-    framePlane.init(plane, max_frame, 0);
+    framePlane.assign(plane, 0);
 
     // Initial rank order (way index order) is arbitrary: the LRU way
     // is only consulted once every way is valid, and valid ways have
@@ -51,7 +48,7 @@ TagArray::entry(std::uint32_t set, std::uint32_t way) const
     e.valid = isValid(set, way);
     e.dirty = isDirty(set, way);
     e.group = groupPlane[idx];
-    e.frame = framePlane.get(idx);
+    e.frame = framePlane[idx];
     return e;
 }
 
@@ -72,7 +69,7 @@ TagArray::setEntry(std::uint32_t set, std::uint32_t way, const Entry &e)
     else
         dirtyBits[set] &= ~bit;
     groupPlane[idx] = e.group;
-    framePlane.set(idx, e.frame);
+    framePlane[idx] = e.frame;
 }
 
 Addr

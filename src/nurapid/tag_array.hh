@@ -9,21 +9,18 @@
  *
  * State is structure-of-arrays: a contiguous std::uint64_t tag plane
  * (rows padded to a power-of-two stride), per-set valid/dirty bitmap
- * words, and parallel forward-pointer planes (byte-wide d-group, and
- * a frame plane narrowed to the width the geometry needs —
- * mem/narrow_plane.hh — when the caller supplies the frame bound).
- * The probe is the vectorized kernel of mem/tag_probe.hh over one
- * dense row. Associativity is capped at 64 so one bitmap word covers
- * a set. Entries are read and written through by-value Entry views
- * (entry()/setEntry()) so the audit hooks and tests keep checking the
- * same facts against the packed planes.
+ * words, and parallel forward-pointer planes (byte-wide d-group,
+ * 32-bit frame). The probe is the scalar loop of mem/tag_probe.hh
+ * over one dense row. Entries are read and written through by-value
+ * Entry views (entry()/setEntry()) so the audit hooks and tests keep
+ * checking the same facts against the packed planes.
  *
  * Set recency is a packed exact-LRU rank plane (mem/rank_plane.hh):
- * per set, a permutation of way ranks in 4- or 8-bit fields. touch()
- * is one or a few word-sized SWAR updates instead of a chain
- * unlink/relink, and victimWay() scans ranks. Equivalent to chain or
- * stamp LRU because ranks are always distinct — no ties for an
- * encoding to break differently.
+ * per set, a permutation of way ranks in 4-bit fields, which caps
+ * associativity at 16. touch() is one word-sized SWAR update instead
+ * of a chain unlink/relink, and victimWay() scans ranks. Equivalent
+ * to chain or stamp LRU because ranks are always distinct — no ties
+ * for an encoding to break differently.
  */
 
 #ifndef NURAPID_NURAPID_TAG_ARRAY_HH
@@ -34,7 +31,6 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "mem/narrow_plane.hh"
 #include "mem/rank_plane.hh"
 #include "mem/tag_probe.hh"
 #include "sim/audit/audit.hh"
@@ -61,10 +57,8 @@ class TagArray
         std::uint32_t way = 0;
     };
 
-    /** @p max_frame is the largest frame index a forward pointer can
-     *  hold (0 = unknown, keeps the full 4-byte frame plane). */
     TagArray(std::uint64_t capacity_bytes, std::uint32_t assoc,
-             std::uint32_t block_bytes, std::uint32_t max_frame = 0);
+             std::uint32_t block_bytes);
 
     /** Probes the array; also fills set/way of the addressed set. */
     Lookup
@@ -112,7 +106,7 @@ class TagArray
     std::uint32_t
     frameOf(std::uint32_t set, std::uint32_t way) const
     {
-        return framePlane.get(rowOf(set) + way);
+        return framePlane[rowOf(set) + way];
     }
 
     void
@@ -131,7 +125,7 @@ class TagArray
                std::uint8_t group, std::uint32_t frame)
     {
         groupPlane[rowOf(set) + way] = group;
-        framePlane.set(rowOf(set) + way, frame);
+        framePlane[rowOf(set) + way] = frame;
     }
 
     /** Fills (set, way): tag + forward pointer, valid, dirty as given. */
@@ -148,7 +142,7 @@ class TagArray
         else
             dirtyBits[set] &= ~bit;
         groupPlane[row + way] = group;
-        framePlane.set(row + way, frame);
+        framePlane[row + way] = frame;
     }
 
     /** Clears valid and dirty of (set, way); tag/pointer go stale. */
@@ -212,7 +206,8 @@ class TagArray
     {
         return (tagPlane.size() + validBits.size() + dirtyBits.size()) *
                    sizeof(std::uint64_t) +
-               groupPlane.size() + framePlane.bytes() + ranks.bytes();
+               groupPlane.size() +
+               framePlane.size() * sizeof(std::uint32_t) + ranks.bytes();
     }
 
   private:
@@ -238,7 +233,7 @@ class TagArray
     std::vector<std::uint64_t> validBits;   //!< [set]
     std::vector<std::uint64_t> dirtyBits;   //!< [set]
     std::vector<std::uint8_t> groupPlane;   //!< forward ptr: d-group
-    NarrowPlane framePlane;                 //!< forward ptr: frame
+    std::vector<std::uint32_t> framePlane;  //!< forward ptr: frame
 
     // Packed exact-LRU recency ranks (mem/rank_plane.hh).
     RankPlane ranks;

@@ -96,13 +96,13 @@ OrgSpec::coupledSA()
 CacheOrg
 l1iOrg()
 {
-    return {"l1i", 64 * 1024, 2, 32, ReplPolicy::LRU, 7};
+    return {"l1i", 64 * 1024, 2, 32};
 }
 
 CacheOrg
 l1dOrg()
 {
-    return {"l1d", 64 * 1024, 2, 32, ReplPolicy::LRU, 9};
+    return {"l1d", 64 * 1024, 2, 32};
 }
 
 CoreParams

@@ -33,8 +33,6 @@ fingerprintCacheOrg(Fingerprint &fp, const char *tag, const CacheOrg &org)
     fp.field("capacity", org.capacity_bytes);
     fp.field("assoc", org.assoc);
     fp.field("block", org.block_bytes);
-    fp.field("repl", static_cast<std::uint64_t>(org.repl));
-    fp.field("repl_seed", org.repl_seed);
 }
 
 void

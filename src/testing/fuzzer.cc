@@ -68,10 +68,8 @@ fuzzTargetMatrix()
     {
         OrgSpec spec;
         spec.kind = OrgKind::BaseL2L3;
-        spec.base.l2 = CacheOrg{"fuzz.l2", 64ull << 10, 8, 64,
-                                ReplPolicy::LRU};
-        spec.base.l3 = CacheOrg{"fuzz.l3", 512ull << 10, 8, 64,
-                                ReplPolicy::LRU};
+        spec.base.l2 = CacheOrg{"fuzz.l2", 64ull << 10, 8, 64};
+        spec.base.l3 = CacheOrg{"fuzz.l3", 512ull << 10, 8, 64};
         out.push_back(makeTarget("conventional-l2l3", spec));
     }
 

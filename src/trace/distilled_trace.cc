@@ -204,10 +204,6 @@ distillFingerprint(const WorkloadProfile &profile, std::uint64_t seed_mix,
         fp.field(nm, org.assoc);
         std::snprintf(nm, sizeof(nm), "%s.block", prefix);
         fp.field(nm, org.block_bytes);
-        std::snprintf(nm, sizeof(nm), "%s.repl", prefix);
-        fp.field(nm, static_cast<std::uint64_t>(org.repl));
-        std::snprintf(nm, sizeof(nm), "%s.repl_seed", prefix);
-        fp.field(nm, org.repl_seed);
     };
     cache("l1i", p.l1i);
     cache("l1d", p.l1d);

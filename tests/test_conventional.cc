@@ -19,8 +19,8 @@ ConventionalL2L3::Params
 tinyParams()
 {
     ConventionalL2L3::Params p;
-    p.l2 = {"t.l2", 8 * 1024, 2, 128, ReplPolicy::LRU, 1};
-    p.l3 = {"t.l3", 64 * 1024, 4, 128, ReplPolicy::LRU, 1};
+    p.l2 = {"t.l2", 8 * 1024, 2, 128};
+    p.l3 = {"t.l3", 64 * 1024, 4, 128};
     p.l2_latency = 11;
     p.l3_latency = 43;
     return p;
@@ -97,8 +97,8 @@ TEST(Conventional, EnergyAccumulatesAndResets)
 TEST(Conventional, DirtyL3EvictionWritesMemory)
 {
     auto p = tinyParams();
-    p.l3 = {"t.l3", 2 * 1024, 1, 128, ReplPolicy::LRU, 1};  // tiny L3
-    p.l2 = {"t.l2", 1 * 1024, 1, 128, ReplPolicy::LRU, 1};
+    p.l3 = {"t.l3", 2 * 1024, 1, 128};  // tiny L3
+    p.l2 = {"t.l2", 1 * 1024, 1, 128};
     ConventionalL2L3 h(model(), p);
     // Write a block, then conflict it out of both levels.
     h.access(0x0, AccessType::Write, 0);

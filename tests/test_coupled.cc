@@ -130,5 +130,15 @@ TEST(CoupledNuca, EnergyGrowsWithActivity)
     EXPECT_GT(c.cacheEnergyNJ(), one);
 }
 
+TEST(CoupledNucaDeath, MoreThanSixteenWaysIsFatal)
+{
+    CoupledNucaCache::Params p = smallParams();
+    p.name = "wide-sa";
+    p.assoc = 17;
+    EXPECT_DEATH(CoupledNucaCache(model(), p),
+                 "wide-sa: coupled NUCA associativity 17 outside the "
+                 "rank-plane range 1\\.\\.16");
+}
+
 } // namespace
 } // namespace nurapid

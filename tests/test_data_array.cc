@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "common/rng.hh"
 #include "nurapid/data_array.hh"
 
 namespace nurapid {
@@ -156,6 +157,55 @@ TEST(DataArrayDeath, VictimWhileFreeFramesExist)
     d.place(0, f, 0, 0);
     // One frame still free: nominating a victim is a logic error.
     EXPECT_DEATH(d.victimFrame(0, 0), "free");
+}
+
+/** A TreePLRU array of one d-group and one region of @p frames
+ *  frames, every frame filled. */
+DataArray
+fullTreePlruRegion(std::uint32_t frames)
+{
+    DataArray d(1, frames, 1, DistanceRepl::TreePLRU, 1);
+    for (std::uint32_t i = 0; i < frames; ++i)
+        d.place(0, d.allocFrame(0, 0), i, 0);
+    return d;
+}
+
+class TreePlruTest : public ::testing::TestWithParam<std::uint32_t>
+{
+};
+
+TEST_P(TreePlruTest, VictimNeverMostRecentlyTouched)
+{
+    const std::uint32_t frames = GetParam();
+    DataArray d = fullTreePlruRegion(frames);
+    Rng rng(3);
+    for (int i = 0; i < 1000; ++i) {
+        const std::uint32_t f = rng.below(frames);
+        d.touch(0, f);
+        EXPECT_NE(d.victimFrame(0, 0), f);
+    }
+}
+
+TEST_P(TreePlruTest, TouchAllThenVictimIsFirstTouched)
+{
+    const std::uint32_t frames = GetParam();
+    DataArray d = fullTreePlruRegion(frames);
+    for (std::uint32_t f = 0; f < frames; ++f)
+        d.touch(0, f);
+    // Tree-PLRU approximates LRU: after touching 0..n-1 in order, the
+    // victim must come from the older half of the touch sequence.
+    EXPECT_LT(d.victimFrame(0, 0), frames / 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(Ways, TreePlruTest,
+                         ::testing::Values(2u, 4u, 8u, 16u));
+
+TEST(DataArrayDeath, TreePlruRequiresPow2FramesPerRegion)
+{
+    EXPECT_DEATH(DataArray(1, 12, 4, DistanceRepl::TreePLRU, 1),
+                 "power-of-two count >= 2 of frames per region, got 3");
+    EXPECT_DEATH(DataArray(1, 4, 4, DistanceRepl::TreePLRU, 1),
+                 "frames per region, got 1");
 }
 
 } // namespace

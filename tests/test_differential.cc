@@ -35,7 +35,7 @@ constexpr std::uint32_t kBlock = 128;
 CacheOrg
 referenceOrg()
 {
-    return {"ref", kCapacity, kAssoc, kBlock, ReplPolicy::LRU, 1};
+    return {"ref", kCapacity, kAssoc, kBlock};
 }
 
 /** Drives reference and candidate with one random stream; every access

@@ -294,12 +294,6 @@ TEST(DistilledTrace, FingerprintChangesWithEveryKeyedParameter)
     p.l1i.block_bytes *= 2;
     differs(p, "L1I block size");
     p = base;
-    p.l1d.repl = ReplPolicy::Random;
-    differs(p, "L1D replacement policy");
-    p = base;
-    p.l1d.repl_seed += 1;
-    differs(p, "L1D replacement seed");
-    p = base;
     p.bp_entries *= 2;
     differs(p, "predictor entries");
     p = base;

@@ -208,5 +208,15 @@ TEST(DNuca, BankContentionDelaysColocatedAccesses)
     EXPECT_GT(c.stats().counterValue("bank_wait_cycles"), 0u);
 }
 
+TEST(DNucaDeath, MoreThanSixteenWaysIsFatal)
+{
+    DNucaCache::Params p = smallParams();
+    p.name = "wide-dnuca";
+    p.assoc = 17;
+    EXPECT_DEATH(DNucaCache(model(), p),
+                 "wide-dnuca: D-NUCA associativity 17 outside the "
+                 "rank-plane range 1\\.\\.16");
+}
+
 } // namespace
 } // namespace nurapid

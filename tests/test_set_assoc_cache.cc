@@ -14,7 +14,7 @@ CacheOrg
 smallOrg(std::uint32_t assoc = 2, std::uint64_t capacity = 4096,
          std::uint32_t block = 64)
 {
-    return {"test", capacity, assoc, block, ReplPolicy::LRU, 1};
+    return {"test", capacity, assoc, block};
 }
 
 TEST(CacheOrg, Arithmetic)
@@ -104,17 +104,16 @@ struct OrgCase
     std::uint32_t assoc;
     std::uint64_t capacity;
     std::uint32_t block;
-    ReplPolicy repl;
 };
 
-// Names each case by its fields. Without this gtest prints the raw
-// bytes, padding included, so the test names would change between
-// builds.
+// Names each case by its fields and the cache's one replacement
+// policy. Without this gtest prints the raw bytes, padding included,
+// so the test names would change between builds.
 void
 PrintTo(const OrgCase &c, std::ostream *os)
 {
     *os << "assoc" << c.assoc << "_cap" << c.capacity << "_block"
-        << c.block << "_" << replPolicyName(c.repl);
+        << c.block << "_lru";
 }
 
 class CachePropertyTest : public ::testing::TestWithParam<OrgCase>
@@ -123,8 +122,8 @@ class CachePropertyTest : public ::testing::TestWithParam<OrgCase>
 
 TEST_P(CachePropertyTest, WorkingSetWithinCapacityAlwaysHitsSteadyState)
 {
-    const auto [assoc, capacity, block, repl] = GetParam();
-    SetAssocCache c({"p", capacity, assoc, block, repl, 1});
+    const auto [assoc, capacity, block] = GetParam();
+    SetAssocCache c({"p", capacity, assoc, block});
     // A working set equal to half the capacity, touched round-robin,
     // must fully reside after the first pass (no aliasing possible).
     const std::uint64_t blocks = capacity / block / 2;
@@ -139,8 +138,8 @@ TEST_P(CachePropertyTest, WorkingSetWithinCapacityAlwaysHitsSteadyState)
 
 TEST_P(CachePropertyTest, NeverMoreValidBlocksThanCapacity)
 {
-    const auto [assoc, capacity, block, repl] = GetParam();
-    SetAssocCache c({"p", capacity, assoc, block, repl, 1});
+    const auto [assoc, capacity, block] = GetParam();
+    SetAssocCache c({"p", capacity, assoc, block});
     Rng rng(5);
     std::uint64_t evictions = 0, fills = 0;
     for (int i = 0; i < 20000; ++i) {
@@ -157,20 +156,25 @@ TEST_P(CachePropertyTest, NeverMoreValidBlocksThanCapacity)
 
 INSTANTIATE_TEST_SUITE_P(
     Orgs, CachePropertyTest,
-    ::testing::Values(OrgCase{1, 8192, 64, ReplPolicy::LRU},
-                      OrgCase{2, 8192, 64, ReplPolicy::LRU},
-                      OrgCase{4, 16384, 32, ReplPolicy::LRU},
-                      OrgCase{8, 65536, 128, ReplPolicy::LRU},
-                      OrgCase{4, 16384, 64, ReplPolicy::Random},
-                      OrgCase{4, 16384, 64, ReplPolicy::TreePLRU},
-                      OrgCase{16, 131072, 128, ReplPolicy::Random}));
+    ::testing::Values(OrgCase{1, 8192, 64}, OrgCase{2, 8192, 64},
+                      OrgCase{4, 16384, 32}, OrgCase{8, 65536, 128},
+                      OrgCase{4, 16384, 64}, OrgCase{16, 131072, 128}));
 
 TEST(SetAssocCacheDeath, BadConfigIsFatal)
 {
-    EXPECT_DEATH(SetAssocCache({"bad", 0, 2, 64, ReplPolicy::LRU, 1}),
-                 "empty|zero capacity");
-    EXPECT_DEATH(SetAssocCache({"bad", 4096, 2, 48, ReplPolicy::LRU, 1}),
-                 "not pow2");
+    EXPECT_DEATH(SetAssocCache({"bad", 0, 2, 64}), "empty|zero capacity");
+    EXPECT_DEATH(SetAssocCache({"bad", 4096, 2, 48}), "not pow2");
+}
+
+TEST(SetAssocCacheDeath, MoreThanSixteenWaysIsFatal)
+{
+    // 17 ways x 64 sets x 64 B: every other check passes, so only the
+    // rank plane's 16-way cap can fire, and it names the cache.
+    EXPECT_DEATH(SetAssocCache({"wide.l2", 17 * 64 * 64, 17, 64}),
+                 "wide\\.l2: associativity 17 outside the rank-plane "
+                 "range 1\\.\\.16");
+    SetAssocCache sixteen({"ok", 16 * 64 * 64, 16, 64});
+    EXPECT_EQ(sixteen.org().assoc, 16u);
 }
 
 } // namespace

@@ -107,5 +107,12 @@ TEST(TagArray, SetIndexUsesLowBlockBits)
               t.setOf(static_cast<Addr>(t.numSets()) * 128));
 }
 
+TEST(TagArrayDeath, MoreThanSixteenWaysIsFatal)
+{
+    EXPECT_DEATH(TagArray(64 * 1024, 17, 128),
+                 "NuRAPID tag array: associativity 17 outside the "
+                 "rank-plane range 1\\.\\.16");
+}
+
 } // namespace
 } // namespace nurapid
