@@ -35,7 +35,7 @@
 namespace nurapid {
 
 /** Bump when simulator behavior changes invalidate old cache files. */
-inline constexpr std::uint32_t kRunCacheSchema = 2;
+inline constexpr std::uint32_t kRunCacheSchema = 3;
 
 /** Canonical key + digest identifying one run's inputs. */
 struct RunKey

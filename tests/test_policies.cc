@@ -242,6 +242,19 @@ TEST(DistanceVictim, TreePlruNeverNominatesTheMostRecentTouch)
     }
 }
 
+TEST(DistanceVictim, TreePlruCountsAFillAsAUse)
+{
+    // A block just filled (or demoted) into a region must not be the
+    // very next distance victim: the fill touches the tree as well as
+    // the region-LRU chain.
+    DataArray data(1, 2, 1, DistanceRepl::TreePLRU, 5);
+    ASSERT_EQ(data.allocFrame(0, 0), 1u);
+    data.place(0, 1, 0, 0);
+    ASSERT_EQ(data.allocFrame(0, 0), 0u);
+    data.place(0, 0, 1, 0);
+    EXPECT_EQ(data.victimFrame(0, 0), 1u);
+}
+
 TEST(DistanceVictim, RegionsAreIndependentUnderRestriction)
 {
     // Two regions of four frames: filling and victimizing region 0
