@@ -14,6 +14,7 @@ OooCore::OooCore(const CoreParams &params, SetAssocCache &l1i_cache,
 {
     fatal_if(p.issue_width == 0 || p.ruu_entries == 0, "degenerate core");
     dispatchCpi = std::max(1.0 / p.issue_width, p.dispatch_cpi);
+    inertClock = InertClock(dispatchCpi, p.mispredict_penalty);
     // Structural bounds: at most one pending load per RUU slot plus
     // the one being dispatched; the store ring is popped back below
     // lsq_entries on every push, so lsq_entries + 1 is its peak.

@@ -26,13 +26,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 
 #include "common/fixed_ring.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "cpu/branch_predictor.hh"
+#include "cpu/inert_clock.hh"
 #include "mem/lower_memory.hh"
 #include "mem/mshr.hh"
 #include "mem/set_assoc_cache.hh"
@@ -181,19 +181,18 @@ class OooCore
 
     /**
      * The inert loop of runDistilled over gap words [@p g, @p end) with
-     * no interval recorder attached. Per record it does the live loop's
-     * two FP additions, in its order: dispatch time, then the folded
-     * mispredict penalty (@p pen indexed by gap bit 15; + 0.0 is exact
-     * for a non-negative clock). enforceWindow() is a no-op unless the
-     * oldest pending load has completed, (Cycle)clock >= completion,
-     * or is a full RUU behind, insts >= inst + ruu_entries. Both are
-     * hoisted into scalar limits — for an integer C < 2^53,
-     * (Cycle)c >= C exactly when c >= (double)C — so enforceWindow()
-     * runs only at the records where one trips.
+     * no interval recorder attached. inertClock steps the dispatch
+     * clock and the instruction count bit-identically to the live
+     * loop's two FP additions per record (in integers within a binade;
+     * see cpu/inert_clock.hh) and stops at the records where
+     * enforceWindow() can act: where the oldest pending load has
+     * completed, (Cycle)clock >= completion, or is a full RUU behind,
+     * insts >= inst + ruu_entries. Both are hoisted into scalar
+     * limits — for an integer C < 2^53, (Cycle)c >= C exactly when
+     * c >= (double)C — so enforceWindow() runs only where one trips.
      */
     void
-    replayInert(const std::uint16_t *g, const std::uint16_t *end,
-                const double pen[2])
+    replayInert(const std::uint16_t *g, const std::uint16_t *end)
     {
         double c = cycleF;
         std::uint64_t n_insts = insts;
@@ -201,8 +200,8 @@ class OooCore
         std::uint64_t lim_i = 0;
         const auto limits = [&] {
             if (pendingLoads.empty()) {
-                lim_c = std::numeric_limits<double>::infinity();
-                lim_i = std::numeric_limits<std::uint64_t>::max();
+                lim_c = InertClock::kNoClockLimit;
+                lim_i = InertClock::kNoInstLimit;
             } else {
                 const Pending &front = pendingLoads.front();
                 lim_c = static_cast<double>(front.completion);
@@ -210,12 +209,8 @@ class OooCore
             }
         };
         limits();
-        for (; g != end; ++g) {
-            const std::uint32_t n =
-                (*g & DistilledTrace::kGapInstMask) + 1u;
-            n_insts += n;
-            c += n * dispatchCpi;
-            c += pen[*g >> 15];
+        while (g != end) {
+            g = inertClock.advance(c, n_insts, g, end, lim_c, lim_i);
             if (c >= lim_c || n_insts >= lim_i) [[unlikely]] {
                 cycleF = c;
                 insts = n_insts;
@@ -248,6 +243,7 @@ class OooCore
     MshrFile mshrs;
 
     double dispatchCpi = 0.125;
+    InertClock inertClock;      //!< replayInert's exact clock stepper
     double cycleF = 0.0;        //!< absolute dispatch clock (never reset)
     std::uint64_t insts = 0;    //!< absolute instruction count
     Cycle lastCompletion = 0;
@@ -424,7 +420,7 @@ OooCore::runDistilled(LowerT &lower_mem, DistilledTrace::Cursor &cur,
     const std::uint64_t stop = cur.pos + records;
     const std::uint16_t *const gaps = cur.gaps;
     // Indexed by gap-word bit 15: adding 0.0 leaves the (non-negative)
-    // clock bit-identical, so the inert loop needs no branch for it.
+    // clock bit-identical, so the recorder's loop needs no branch for it.
     const double pen[2] = {0.0, static_cast<double>(p.mispredict_penalty)};
 
     while (cur.pos < stop) {
@@ -439,9 +435,9 @@ OooCore::runDistilled(LowerT &lower_mem, DistilledTrace::Cursor &cur,
 
         // Non-event records [cur.pos, erec): all L1 hits with no stall
         // other than a folded mispredict penalty. Only the dispatch
-        // clock (whose per-record FP addition order must be preserved),
-        // the instruction count and the window advance; the L1
-        // tag/LRU walk and predictor tables fold away.
+        // clock (bit-identical to the live loop's per-record FP
+        // additions), the instruction count and the window advance;
+        // the L1 tag/LRU walk and predictor tables fold away.
         if (obsRec) [[unlikely]] {
             for (std::uint64_t k = cur.pos; k < erec; ++k) {
                 const std::uint16_t g = gaps[k];
@@ -453,7 +449,7 @@ OooCore::runDistilled(LowerT &lower_mem, DistilledTrace::Cursor &cur,
                 obsRec->tick();
             }
         } else {
-            replayInert(gaps + cur.pos, gaps + erec, pen);
+            replayInert(gaps + cur.pos, gaps + erec);
         }
         const auto inert = static_cast<std::uint32_t>(erec - cur.pos);
         cur.pos = erec + 1;

@@ -74,7 +74,7 @@ SyntheticTrace::buildLayers()
             state.segment_bases.push_back(
                 anchor + (Addr{s} + 1) * kSetCoveragePeriod);
         }
-        state.cursor = state.segment_bases.front();
+        state.initial_bases = state.segment_bases;
         layers.push_back(std::move(state));
         cum += spec.weight;
         cumWeights.push_back(cum);
@@ -108,8 +108,10 @@ SyntheticTrace::reset()
     chaseRemaining = 0;
     chaseLayer = 0;
     deepCount = 0;
-    for (std::size_t i = 0; i < layers.size(); ++i)
-        layers[i].cursor = layers[i].segment_bases.front();
+    for (LayerState &layer : layers) {
+        layer.segment_bases = layer.initial_bases;
+        layer.cursor = layer.segment_bases.front();
+    }
     coldCursor = coldBase;
     codeCursor = kCodeRegion;
     for (auto &b : branches)

@@ -40,7 +40,8 @@ class SyntheticTrace : public TraceSource
   private:
     struct LayerState
     {
-        std::vector<Addr> segment_bases;
+        std::vector<Addr> segment_bases;  //!< moved by working-set drift
+        std::vector<Addr> initial_bases;  //!< restored by reset()
         std::uint64_t segment_bytes = 0;
         Addr cursor = 0;  //!< sequential-walk position
     };
