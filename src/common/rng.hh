@@ -79,7 +79,10 @@ class Rng
             ~std::uint64_t{0} - (~std::uint64_t{0} % bound) - 1;
         std::uint64_t v;
         do {
-            v = (static_cast<std::uint64_t>(next()) << 32) | next();
+            // Two statements: the operands of one `|` are unsequenced.
+            const std::uint64_t hi = next();
+            const std::uint64_t lo = next();
+            v = (hi << 32) | lo;
         } while (v > limit);
         return v % bound;
     }

@@ -261,6 +261,8 @@ class OooCore
     EventSink *obsSink = nullptr;
     IntervalRecorder *obsRec = nullptr;
 
+    std::uint64_t auditTick = 0;  //!< periodic MSHR-audit miss counter
+
     StatGroup statGroup;
     Counter statL1DAccesses;
     Counter statL1IAccesses;
@@ -281,11 +283,11 @@ OooCore::missLatency(LowerT &lower_mem, Addr addr, AccessType type,
 {
     const Addr block = blockAlign(addr, p.mshr_block_bytes);
     mshrs.retire(now);
+    NURAPID_AUDIT_POINT(auditTick, mshrs.audit(audit::hookSink()));
 
-    if (mshrs.tracks(block)) {
+    if (const Cycle *ready = mshrs.find(block)) {
         mshrs.noteMerge();
-        const Cycle ready = mshrs.readyAt(block);
-        return ready > now ? static_cast<Cycles>(ready - now) : 0;
+        return *ready > now ? static_cast<Cycles>(*ready - now) : 0;
     }
 
     if (mshrs.full()) {

@@ -1,92 +1,64 @@
 #include "mem/mshr.hh"
 
-#include "common/bitops.hh"
-#include "common/logging.hh"
+#include <utility>
 
 namespace nurapid {
 
 MshrFile::MshrFile(std::uint32_t entries, std::uint32_t block_bytes)
-    : numEntries(entries), blockBytes(block_bytes), entries(entries),
-      statGroup("mshr")
+    : numEntries(entries), blockBytes(block_bytes), statGroup("mshr")
 {
     fatal_if(entries == 0, "MSHR file needs at least one entry");
+    fatal_if(entries > kMaxEntries,
+             "MSHR file of %u entries exceeds the cap of %u", entries,
+             kMaxEntries);
     fatal_if(!isPowerOf2(block_bytes), "MSHR block size not a power of 2");
     statGroup.addCounter("allocations", statAllocations);
     statGroup.addCounter("merges", statMerges);
     statGroup.addCounter("full_stalls", statFullStalls);
 }
 
-void
-MshrFile::retire(Cycle now)
-{
-    for (Entry &e : entries) {
-        if (e.valid && e.ready <= now) {
-            e.valid = false;
-            e.block = kInvalidAddr;
-            e.ready = kNeverCycle;
-        }
-    }
-}
-
 bool
-MshrFile::tracks(Addr addr) const
+MshrFile::audit(AuditSink &sink) const
 {
-    const Addr block = blockAlign(addr, blockBytes);
-    for (const Entry &e : entries) {
-        if (e.valid && e.block == block)
-            return true;
-    }
-    return false;
-}
+    const auto report = [&](const char *invariant, std::string detail,
+                            std::uint32_t slot) {
+        sink.violation({"mshr", invariant, std::move(detail),
+                        AuditViolation::kNoIndex, slot,
+                        AuditViolation::kNoIndex, AuditViolation::kNoIndex});
+    };
 
-Cycle
-MshrFile::readyAt(Addr addr) const
-{
-    const Addr block = blockAlign(addr, blockBytes);
-    for (const Entry &e : entries) {
-        if (e.valid && e.block == block)
-            return e.ready;
+    if (numLive > numEntries) {
+        report("live-count",
+               strprintf("%u live entries in a %u-entry file", numLive,
+                         numEntries),
+               AuditViolation::kNoIndex);
+        return false;
     }
-    panic("readyAt() on untracked address %llx",
-          static_cast<unsigned long long>(addr));
-}
 
-void
-MshrFile::allocate(Addr addr, Cycle ready)
-{
-    const Addr block = blockAlign(addr, blockBytes);
-    panic_if(tracks(block), "duplicate MSHR allocation for %llx",
-             static_cast<unsigned long long>(block));
-    for (Entry &e : entries) {
-        if (!e.valid) {
-            e.valid = true;
-            e.block = block;
-            e.ready = ready;
-            ++statAllocations;
-            return;
+    bool clean = true;
+    Cycle earliest = kNeverCycle;
+    for (std::uint32_t i = 0; i < numLive; ++i) {
+        earliest = std::min(earliest, readyCycles[i]);
+        for (std::uint32_t j = i + 1; j < numLive; ++j) {
+            if (blocks[j] == blocks[i]) {
+                clean = false;
+                report("distinct-blocks",
+                       strprintf("block %#llx also in slot %u",
+                                 static_cast<unsigned long long>(blocks[i]),
+                                 j),
+                       i);
+            }
         }
     }
-    panic("MSHR allocation with a full file");
-}
-
-Cycle
-MshrFile::nextRetirement() const
-{
-    Cycle best = kNeverCycle;
-    for (const Entry &e : entries) {
-        if (e.valid && e.ready < best)
-            best = e.ready;
+    if (minReady != earliest) {
+        clean = false;
+        report("min-ready",
+               strprintf("cached earliest fill %llu, live minimum %llu",
+                         static_cast<unsigned long long>(minReady),
+                         static_cast<unsigned long long>(earliest)),
+               AuditViolation::kNoIndex);
     }
-    return best;
-}
-
-std::uint32_t
-MshrFile::live() const
-{
-    std::uint32_t n = 0;
-    for (const Entry &e : entries)
-        n += e.valid ? 1 : 0;
-    return n;
+    return clean;
 }
 
 } // namespace nurapid

@@ -45,6 +45,7 @@ struct Observed
     std::string l1i_stats;
     std::string l1d_stats;
     std::string bpred_stats;
+    std::string mshr_stats;
     std::string lower_stats;
 };
 
@@ -60,6 +61,7 @@ observe(const OrgSpec &org, const WorkloadProfile &prof,
     o.l1i_stats = sys.l1i().stats().dump();
     o.l1d_stats = sys.l1d().stats().dump();
     o.bpred_stats = sys.core().branchPredictor().stats().dump();
+    o.mshr_stats = sys.core().mshrFile().stats().dump();
     o.lower_stats = sys.lower().stats().dump();
     ::unsetenv("NURAPID_DISTILL");
     return o;
@@ -78,6 +80,7 @@ expectSameObservation(const Observed &live, const Observed &distilled,
     EXPECT_EQ(live.l1i_stats, distilled.l1i_stats) << what;
     EXPECT_EQ(live.l1d_stats, distilled.l1d_stats) << what;
     EXPECT_EQ(live.bpred_stats, distilled.bpred_stats) << what;
+    EXPECT_EQ(live.mshr_stats, distilled.mshr_stats) << what;
     EXPECT_EQ(live.lower_stats, distilled.lower_stats) << what;
     EXPECT_GT(distilled.metrics.instructions, 0u) << what;
 }

@@ -72,6 +72,20 @@ TEST(Rng, Below64LargeBounds)
         EXPECT_LT(r.below64(bound), bound);
 }
 
+TEST(Rng, Below64WideDrawIsPinned)
+{
+    // A bound above 2^32 composes two 32-bit draws, the first into the
+    // high word. These values pin that order so it cannot depend on
+    // how a compiler sequences the two draws.
+    Rng r(2024);
+    const std::uint64_t bound = std::uint64_t{1} << 40;
+    const std::uint64_t expected[] = {1011114107987ull, 452040329924ull,
+                                      35739819711ull, 940897330616ull,
+                                      549533361019ull, 386238594356ull};
+    for (const std::uint64_t e : expected)
+        EXPECT_EQ(r.below64(bound), e);
+}
+
 TEST(Rng, UniformInUnitInterval)
 {
     Rng r(11);
