@@ -185,13 +185,11 @@ for config in $configs; do
         # Short cold sweep: all 17 bench binaries at scale 0.05 with a
         # fresh run cache, engine-span tracing attached. Cached
         # distilled streams are dropped first so the sweep distills
-        # rather than only mapping what the stages above left behind,
-        # and so are stale packed-record .trc files, which nothing
-        # reads any more.
+        # rather than only mapping what the stages above left behind.
         echo "=== [$config] cold sweep (scale 0.05, engine spans) ==="
         sweep_cache="$dir/sweep_cache.json"
         rm -f "$sweep_cache"
-        rm -f "$dir/trace_cache"/*.dtc "$dir/trace_cache"/*.trc
+        rm -f "$dir/trace_cache"/*.dtc
         sweep_log="$dir/sweep.log"
         sweep_trace="$dir/engine_sweep_trace.json"
         (export NURAPID_SIM_SCALE=0.05 NURAPID_RUN_CACHE="$sweep_cache" &&

@@ -6,8 +6,8 @@
  * 0..ways-1 packed into 4-bit fields, one u64 per set, instead of one
  * 64-bit stamp per way plus a monotonic clock — 16x fewer recency
  * bytes touched per reference. The 4-bit fields cap every user at 16
- * ways (kMaxWays); each organization that keeps a plane checks its
- * associativity against the cap and names itself when it fails.
+ * ways (kMaxWays); the one user, TagStore (mem/tag_store.hh), checks
+ * its associativity against the cap and names its owner when it fails.
  *
  * Invariant: for every set, the ranks of ALL ways (valid or not) form
  * a permutation of 0..ways-1; rank 0 is MRU, rank ways-1 is LRU.
@@ -161,6 +161,13 @@ class RankPlane
             seen |= std::uint32_t{1} << r;
         }
         return true;
+    }
+
+    /** Overwrites @p set's packed ranks (tests that corrupt them). */
+    void
+    setWordForTesting(std::uint32_t set, std::uint64_t word)
+    {
+        words_[set] = word;
     }
 
   private:

@@ -2,18 +2,15 @@
  * @file
  * A generic behavioral set-associative cache.
  *
- * Used for the L1 I/D caches, the conventional baseline's L2 and L3,
- * and the per-bank tag state of the D-NUCA model. Tracks tags, valid
+ * Used for the L1 I/D caches and the conventional baseline's L2 and
+ * L3. Tracks tags, valid
  * and dirty bits only (this is a performance/energy simulator; no data
  * payloads are stored).
  *
- * Hot state is laid out structure-of-arrays: one contiguous
- * std::uint64_t tag plane (rows padded to a power-of-two stride), one
- * valid and one dirty bitmap word per set, and a packed exact-LRU
- * rank plane (mem/rank_plane.hh) — the probe path touches one dense
- * row plus three words instead of walking an array of per-Line
- * records. The tag compare is the scalar loop of mem/tag_probe.hh.
- * Associativity is capped at 16, the rank plane's 4-bit field limit.
+ * Tag, valid, dirty and recency state is one TagStore
+ * (mem/tag_store.hh), the structure-of-arrays layout every
+ * organization shares; this class adds the demand-access policy
+ * (write-allocate, lowest invalid way else LRU victim) and counters.
  *
  * Replacement is LRU only (every cache the experiments build is
  * LRU, Section 2.4.2). The per-set permutation of way ranks (rank 0 =
@@ -29,12 +26,10 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "mem/rank_plane.hh"
-#include "mem/tag_probe.hh"
+#include "mem/tag_store.hh"
 #include "sim/audit/audit.hh"
 
 namespace nurapid {
@@ -75,19 +70,17 @@ class SetAssocCache
     Access
     access(Addr addr, bool is_write)
     {
-        const std::uint32_t set = setIndex(addr);
-        const Addr tag = tagOf(addr);
+        const std::uint32_t set = tags.setOf(addr);
+        const Addr tag = tags.tagOf(addr);
 
-        const std::uint64_t match =
-            probeMatch(&tagPlane[rowOf(set)], wayStride, tag) &
-            validBits[set];
+        const std::uint64_t match = tags.match(set, tag);
         if (match) {
             const auto w = static_cast<std::uint32_t>(
                 std::countr_zero(match));
             ++cnt.hits;
-            lruRanks.touch(set, w);
+            tags.touch(set, w);
             if (is_write)
-                dirtyBits[set] |= std::uint64_t{1} << w;
+                tags.setDirty(set, w, true);
             Access result;
             result.hit = true;
             result.way = w;
@@ -127,70 +120,40 @@ class SetAssocCache
         cnt.writebacks += fold_writebacks;
     }
 
-    /** Set index of an address (exposed for hot-set analyses). Block
-     *  size and set count are enforced powers of two, so the index
-     *  math is shifts — no per-access integer division. */
-    std::uint32_t
-    setIndex(Addr addr) const
-    {
-        return static_cast<std::uint32_t>(
-            (addr >> blockShift) & (sets - 1));
-    }
-
     /** Calls @p fn(block_addr, dirty) for every valid line. */
-    void forEachValid(const std::function<void(Addr, bool)> &fn) const;
+    void
+    forEachValid(const std::function<void(Addr, bool)> &fn) const
+    {
+        tags.forEachResident(fn);
+    }
 
     /** Count of valid lines. */
-    std::uint64_t validCount() const;
+    std::uint64_t validCount() const { return tags.validCount(); }
 
     /**
-     * Audits tag-store integrity: no set holds two valid lines with
-     * the same tag (a duplicate silently halves effective capacity and
-     * makes hit way selection order-dependent), and each set's
-     * recency ranks are a permutation of its ways.
-     * Violations go to @p sink under component name "<org name>";
-     * returns true if clean. Allocation-free on the clean path.
+     * Audits the tag store (TagStore::audit) under component name
+     * "<org name>"; returns true if clean. Allocation-free on the
+     * clean path.
      */
-    bool audit(AuditSink &sink) const;
-
-    /** Bytes of per-reference hot state (planes + bitmaps), summed
-     *  into the owning organization's hotStateBytes(). */
-    std::size_t
-    hotBytes() const
+    bool
+    audit(AuditSink &sink) const
     {
-        return (tagPlane.size() + validBits.size() + dirtyBits.size()) *
-                   sizeof(std::uint64_t) +
-               lruRanks.bytes();
+        return tags.audit(sink, organization.name, 0);
     }
+
+    /** Bytes of per-reference hot state, summed into the owning
+     *  organization's hotStateBytes(). */
+    std::size_t hotBytes() const { return tags.hotBytes(); }
+
+    /** The tag store itself, for tests that corrupt it. */
+    TagStore &tagsForTesting() { return tags; }
 
   private:
-    Addr tagOf(Addr addr) const { return addr >> tagShift; }
-
-    /** First word of @p set's row in the way-indexed planes. */
-    std::size_t
-    rowOf(std::uint32_t set) const
-    {
-        return std::size_t{set} << strideShift;
-    }
-
     /** Miss path of access(): victim selection and fill. */
     Access accessMiss(std::uint32_t set, Addr tag, bool is_write);
 
     CacheOrg organization;
-    std::uint32_t sets;
-    unsigned blockShift = 0;   //!< log2(block_bytes)
-    unsigned tagShift = 0;     //!< log2(block_bytes * sets)
-    std::uint32_t wayStride = 1;  //!< pow2 plane row width >= assoc
-    unsigned strideShift = 0;     //!< log2(wayStride)
-    std::uint64_t waysMask = 0;   //!< low assoc bits set
-
-    // Structure-of-arrays tag state: [set << strideShift | way] planes
-    // plus one bitmap word per set.
-    std::vector<std::uint64_t> tagPlane;
-    std::vector<std::uint64_t> validBits;  //!< [set]
-    std::vector<std::uint64_t> dirtyBits;  //!< [set]
-
-    RankPlane lruRanks;  //!< per-set LRU rank permutation
+    TagStore tags;
 
     StatGroup statGroup;
     /** Counters grouped into one cache line so the stat updates of one

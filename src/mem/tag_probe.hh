@@ -2,18 +2,17 @@
  * @file
  * Tag-probe kernels over structure-of-arrays tag planes.
  *
- * Every set-indexed array in the simulator stores its tags as one
- * contiguous plane of std::uint64_t words, one row per set, padded to a
- * power-of-two stride (mem/set_assoc_cache.hh, nurapid/tag_array.hh,
- * nuca/dnuca.hh, nurapid/coupled_nuca.hh). A probe is then a dense
- * linear compare of one row against a needle, returning a bitmask with
- * bit w set when tags[w] == needle.
+ * Every set-indexed array in the simulator keeps its tags in one
+ * TagStore (mem/tag_store.hh): a contiguous plane of std::uint64_t
+ * words, one row per set, padded to a power-of-two stride. A probe is
+ * then a dense linear compare of one row against a needle, returning
+ * a bitmask with bit w set when tags[w] == needle.
  *
- * The caller ANDs the result with its per-set valid bitmap, which also
- * clears any padding lanes past the real associativity — the kernels
- * may therefore read (and match) pad words freely. Every caller caps
- * its way count at 16 (the rank planes' limit), so one mask word
- * always covers a row.
+ * TagStore::match/matchPartial, the only callers, AND the result with
+ * the set's valid bitmap, which also clears any padding lanes past the
+ * real associativity — the kernels may therefore read (and match) pad
+ * words freely. TagStore caps the way count at 16 (the rank plane's
+ * limit), so one mask word always covers a row.
  *
  * The masked variant implements D-NUCA's partial-tag smart-search
  * compare, (tags[w] & mask) == needle, with the same lane order.

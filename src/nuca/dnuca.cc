@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <utility>
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
-#include "mem/tag_probe.hh"
 
 namespace nurapid {
 
@@ -14,34 +12,17 @@ DNucaCache::DNucaCache(const SramMacroModel &model, const Params &params)
     : p(params),
       times(makeDNucaTiming(model, p.capacity_bytes, p.rows, p.cols,
                             p.block_bytes)),
-      sets(static_cast<std::uint32_t>(
-          p.capacity_bytes / (std::uint64_t{p.assoc} * p.block_bytes))),
+      tags(p.name + ": D-NUCA", p.capacity_bytes, p.assoc, p.block_bytes),
       waysPerRow(p.assoc / p.rows),
       partialMask((Addr{1} << p.partial_tag_bits) - 1),
       bankFree(std::size_t{p.rows} * p.cols, 0),
       mem(p.memory), statGroup(p.name), regionHist(p.rows)
 {
-    fatal_if(p.assoc == 0 || p.assoc > RankPlane::kMaxWays,
-             "%s: D-NUCA associativity %u outside the rank-plane range "
-             "1..%u", p.name.c_str(), p.assoc, RankPlane::kMaxWays);
     fatal_if(p.assoc % p.rows != 0,
              "associativity %u not divisible across %u bank rows",
              p.assoc, p.rows);
-    fatal_if(!isPowerOf2(sets), "set count %u not a power of two", sets);
     fatal_if(!isPowerOf2(p.cols), "bank-set count %u not a power of two",
              p.cols);
-    fatal_if(!isPowerOf2(p.block_bytes),
-             "block size %u not a power of two", p.block_bytes);
-    blockShift = floorLog2(p.block_bytes);
-    tagShift = blockShift + floorLog2(sets);
-
-    strideShift = ceilLog2(p.assoc);
-    wayStride = std::uint32_t{1} << strideShift;
-    waysMask = (std::uint64_t{1} << p.assoc) - 1;
-    tagPlane.assign(std::size_t{sets} << strideShift, 0);
-    validBits.assign(sets, 0);
-    dirtyBits.assign(sets, 0);
-    ranks.init(sets, p.assoc);
 
     statGroup.addCounter("demand_accesses", cnt.demandAccesses);
     statGroup.addCounter("writeback_accesses", cnt.writebackAccesses);
@@ -58,19 +39,6 @@ DNucaCache::DNucaCache(const SramMacroModel &model, const Params &params)
 }
 
 std::uint32_t
-DNucaCache::setOf(Addr block) const
-{
-    return static_cast<std::uint32_t>(
-        (block >> blockShift) & (sets - 1));
-}
-
-Addr
-DNucaCache::tagOf(Addr block) const
-{
-    return block >> tagShift;
-}
-
-std::uint32_t
 DNucaCache::colOf(std::uint32_t set) const
 {
     return set & (p.cols - 1);
@@ -80,27 +48,6 @@ std::uint32_t
 DNucaCache::rowOfWay(std::uint32_t way) const
 {
     return way / waysPerRow;
-}
-
-void
-DNucaCache::touch(std::uint32_t set, std::uint32_t way)
-{
-    ranks.touch(set, way);
-}
-
-std::uint32_t
-DNucaCache::lruWayInRow(std::uint32_t set, std::uint32_t row) const
-{
-    const std::uint32_t first = row * waysPerRow;
-    const std::uint64_t row_bits = (std::uint64_t{1} << waysPerRow) - 1;
-    // Lowest invalid way of the row wins outright.
-    const std::uint64_t row_invalid =
-        (~validBits[set] >> first) & row_bits;
-    if (row_invalid) {
-        return first +
-            static_cast<std::uint32_t>(std::countr_zero(row_invalid));
-    }
-    return ranks.lruWayMasked(set, row_bits << first);
 }
 
 Cycle
@@ -126,9 +73,9 @@ DNucaCache::access(Addr addr, AccessType type, Cycle now)
     else
         ++cnt.demandAccesses;
 
-    const std::uint32_t set = setOf(block);
+    const std::uint32_t set = tags.setOf(block);
     const std::uint32_t col = colOf(set);
-    const Addr tag = tagOf(block);
+    const Addr tag = tags.tagOf(block);
     const Addr partial = tag & partialMask;
 
     // Ground truth: which way (if any) holds the block, and which rows
@@ -137,12 +84,9 @@ DNucaCache::access(Addr addr, AccessType type, Cycle now)
     // the valid bitmap also clears the padding lanes. The historical
     // scan kept the *last* matching way, hence the countl_zero reduce
     // (first and last coincide on audit-clean state anyway).
-    const std::uint64_t *row = &tagPlane[rowBase(set)];
-    const std::uint64_t full_match =
-        probeMatch(row, wayStride, tag) & validBits[set];
+    const std::uint64_t full_match = tags.match(set, tag);
     const std::uint64_t partial_match =
-        probeMatchMasked(row, wayStride, partialMask, partial) &
-        validBits[set];
+        tags.matchPartial(set, partialMask, partial);
     const std::uint32_t hit_way = full_match
         ? 63 - static_cast<std::uint32_t>(std::countl_zero(full_match))
         : p.assoc;
@@ -216,26 +160,23 @@ DNucaCache::access(Addr addr, AccessType type, Cycle now)
             ++cnt.hits;
             regionHist.sample(r);
         }
-        touch(set, hit_way);
+        tags.touch(set, hit_way);
         if (is_write)
-            dirtyBits[set] |= std::uint64_t{1} << hit_way;
+            tags.setDirty(set, hit_way, true);
 
         // Bubble promotion: swap with a block one bank closer (demand
         // hits only; L1 writebacks update in place).
         if (p.promote_on_hit && r > 0 && !is_writeback) {
-            const std::uint32_t victim = lruWayInRow(set, r - 1);
+            const std::uint32_t victim =
+                tags.victimIn(set, (r - 1) * waysPerRow, waysPerRow);
             // An invalid victim way makes the "swap" a pure inward move.
             if (obsSink) [[unlikely]] {
-                if ((validBits[set] >> victim) & 1)
+                if (tags.isValid(set, victim))
                     obsSink->swap(now, block, r, r - 1);
                 else
                     obsSink->promotion(now, block, r, r - 1);
             }
-            const std::size_t base = rowBase(set);
-            std::swap(tagPlane[base + hit_way], tagPlane[base + victim]);
-            swapBits(validBits[set], hit_way, victim);
-            swapBits(dirtyBits[set], hit_way, victim);
-            ranks.swapWays(set, hit_way, victim);
+            tags.swapWays(set, hit_way, victim);
             ++cnt.promotions;
             cnt.blockMoves += 2;
             cnt.bankDataAccesses += 4;
@@ -270,7 +211,7 @@ DNucaCache::access(Addr addr, AccessType type, Cycle now)
     // Prefer an invalid way (slowest rows first); otherwise evict the
     // slowest way of the set — which need not be the set-LRU block.
     std::uint32_t dest_way = p.assoc;
-    const std::uint64_t invalid = ~validBits[set] & waysMask;
+    const std::uint64_t invalid = tags.invalidWays(set);
     for (std::uint32_t r = p.rows; r-- > 0 && dest_way == p.assoc;) {
         const std::uint32_t first = r * waysPerRow;
         const std::uint64_t row_invalid =
@@ -281,30 +222,21 @@ DNucaCache::access(Addr addr, AccessType type, Cycle now)
         }
     }
     if (dest_way == p.assoc) {
-        dest_way = lruWayInRow(set, p.rows - 1);
-        const std::uint64_t way_bit = std::uint64_t{1} << dest_way;
+        dest_way = tags.victimIn(set, (p.rows - 1) * waysPerRow, waysPerRow);
         ++cnt.evictions;
         ++cnt.bankDataAccesses;
         cacheEnergy.chargeData(p.rows - 1,
                                times.bank(p.rows - 1, col).access_nj);
-        recordEviction(result,
-                       (tagPlane[rowBase(set) + dest_way] * sets + set) *
-                           p.block_bytes,
-                       (dirtyBits[set] & way_bit) != 0, now);
-        if (dirtyBits[set] & way_bit)
+        const bool victim_dirty = tags.isDirty(set, dest_way);
+        recordEviction(result, tags.blockAddr(set, dest_way), victim_dirty,
+                       now);
+        if (victim_dirty)
             mem.write(p.block_bytes);
-        validBits[set] &= ~way_bit;
     }
 
     const std::uint32_t dest_row = rowOfWay(dest_way);
-    const std::uint64_t dest_bit = std::uint64_t{1} << dest_way;
-    tagPlane[rowBase(set) + dest_way] = tag;
-    validBits[set] |= dest_bit;
-    if (is_write)
-        dirtyBits[set] |= dest_bit;
-    else
-        dirtyBits[set] &= ~dest_bit;
-    touch(set, dest_way);
+    tags.fill(set, dest_way, tag, is_write);
+    tags.touch(set, dest_way);
     ++cnt.bankDataAccesses;
     cacheEnergy.chargeData(dest_row, times.bank(dest_row, col).access_nj);
 
@@ -328,78 +260,27 @@ DNucaCache::dynamicEnergyNJ() const
 void
 DNucaCache::regionOccupancy(std::vector<std::uint64_t> &out) const
 {
-    out.assign(p.rows, 0);
-    for (std::uint32_t s = 0; s < sets; ++s) {
-        for (std::uint64_t vb = validBits[s]; vb; vb &= vb - 1) {
-            const auto w =
-                static_cast<std::uint32_t>(std::countr_zero(vb));
-            ++out[rowOfWay(w)];
-        }
-    }
+    tags.occupancy(waysPerRow, out);
 }
 
 void
 DNucaCache::forEachResident(const ResidentFn &fn) const
 {
-    for (std::uint32_t s = 0; s < sets; ++s) {
-        const std::size_t base = rowBase(s);
-        for (std::uint64_t vb = validBits[s]; vb; vb &= vb - 1) {
-            const auto w =
-                static_cast<std::uint32_t>(std::countr_zero(vb));
-            fn((tagPlane[base + w] * sets + s) * p.block_bytes,
-               (dirtyBits[s] >> w) & 1);
-        }
-    }
+    tags.forEachResident(fn);
 }
 
 bool
 DNucaCache::audit(AuditSink &sink) const
 {
-    bool clean = true;
-    for (std::uint32_t s = 0; s < sets; ++s) {
-        const std::size_t base = rowBase(s);
-        for (std::uint32_t w = 0; w < p.assoc; ++w) {
-            if (!((validBits[s] >> w) & 1))
-                continue;
-            // A duplicate tag makes the multicast search ambiguous:
-            // two banks would answer the same request.
-            for (std::uint32_t w2 = w + 1; w2 < p.assoc; ++w2) {
-                if (((validBits[s] >> w2) & 1) &&
-                    tagPlane[base + w2] == tagPlane[base + w]) {
-                    clean = false;
-                    sink.violation({p.name, "duplicate-tag",
-                                    strprintf("tag %#llx also in way %u",
-                                              static_cast<
-                                                  unsigned long long>(
-                                                  tagPlane[base + w]), w2),
-                                    s, w, AuditViolation::kNoIndex,
-                                    AuditViolation::kNoIndex});
-                }
-            }
-        }
-
-        // The rank plane must hold a permutation of 0..assoc-1 per
-        // set, or recency scans lose their tie-free guarantee.
-        if (!ranks.isPermutation(s)) {
-            clean = false;
-            sink.violation({p.name, "lru-rank",
-                            strprintf("set %u recency ranks are not a "
-                                      "permutation of %u ways", s,
-                                      p.assoc),
-                            s, AuditViolation::kNoIndex,
-                            AuditViolation::kNoIndex,
-                            AuditViolation::kNoIndex});
-        }
-    }
-    return clean;
+    // A duplicate tag would make the multicast search ambiguous: two
+    // banks would answer the same request.
+    return tags.audit(sink, p.name, 0);
 }
 
 std::size_t
 DNucaCache::hotStateBytes() const
 {
-    return (tagPlane.size() + validBits.size() + dirtyBits.size()) *
-               sizeof(std::uint64_t) +
-           ranks.bytes() + bankFree.size() * sizeof(Cycle);
+    return tags.hotBytes() + bankFree.size() * sizeof(Cycle);
 }
 
 void

@@ -22,7 +22,7 @@
 
 #include "mem/lower_memory.hh"
 #include "mem/main_memory.hh"
-#include "mem/rank_plane.hh"
+#include "mem/tag_store.hh"
 #include "timing/latency_tables.hh"
 
 namespace nurapid {
@@ -88,19 +88,8 @@ class DNucaCache final : public LowerMemory
     const DNucaTiming &timing() const { return times; }
 
   private:
-    std::uint32_t setOf(Addr block) const;
-    Addr tagOf(Addr block) const;
     std::uint32_t colOf(std::uint32_t set) const;
     std::uint32_t rowOfWay(std::uint32_t way) const;
-    std::uint32_t lruWayInRow(std::uint32_t set, std::uint32_t row) const;
-    void touch(std::uint32_t set, std::uint32_t way);
-
-    /** First word of @p set's row in the way-indexed planes. */
-    std::size_t
-    rowBase(std::uint32_t set) const
-    {
-        return std::size_t{set} << strideShift;
-    }
 
     /** Waits for and occupies bank (row, col) for @p busy cycles
      *  (0 = the standard per-access occupancy); returns the start. */
@@ -109,23 +98,11 @@ class DNucaCache final : public LowerMemory
 
     Params p;
     DNucaTiming times;
-    std::uint32_t sets;
+    /** Bank row r holds ways [r * waysPerRow, (r + 1) * waysPerRow)
+     *  of every set. */
+    TagStore tags;
     std::uint32_t waysPerRow;
-    unsigned blockShift = 0;  //!< log2(block_bytes)
-    unsigned tagShift = 0;    //!< log2(block_bytes * sets)
-    std::uint32_t wayStride = 1;  //!< pow2 plane row width >= assoc
-    unsigned strideShift = 0;     //!< log2(wayStride)
-    std::uint64_t waysMask = 0;   //!< low assoc bits set
     Addr partialMask;
-
-    // Structure-of-arrays tag state: [set << strideShift | way] planes
-    // plus one bitmap word per set. Recency is a packed exact-LRU
-    // rank plane (mem/rank_plane.hh): one word per 16-way set instead
-    // of sixteen 64-bit stamps.
-    std::vector<std::uint64_t> tagPlane;
-    std::vector<std::uint64_t> validBits;  //!< [set]
-    std::vector<std::uint64_t> dirtyBits;  //!< [set]
-    RankPlane ranks;
     std::vector<Cycle> bankFree;  //!< [row * cols + col]
     MainMemory mem;
     /** Regions = bank rows; total_nj is the pre-refactor accumulator. */

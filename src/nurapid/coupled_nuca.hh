@@ -18,7 +18,7 @@
 
 #include "mem/lower_memory.hh"
 #include "mem/main_memory.hh"
-#include "mem/rank_plane.hh"
+#include "mem/tag_store.hh"
 #include "nurapid/policies.hh"
 #include "timing/latency_tables.hh"
 
@@ -64,37 +64,18 @@ class CoupledNucaCache final : public LowerMemory
     MainMemory &memory() { return mem; }
     const NuRapidTiming &timing() const { return times; }
 
+    /** The tag store itself, for tests that corrupt it. */
+    TagStore &tagsForTesting() { return tags; }
+
   private:
     std::uint32_t groupOfWay(std::uint32_t way) const;
-    std::uint32_t lruWayInGroup(std::uint32_t set,
-                                std::uint32_t group) const;
-    void touch(std::uint32_t set, std::uint32_t way);
-
-    /** First word of @p set's row in the way-indexed planes. */
-    std::size_t
-    rowBase(std::uint32_t set) const
-    {
-        return std::size_t{set} << strideShift;
-    }
 
     Params p;
     NuRapidTiming times;
-    std::uint32_t sets;
+    /** D-group g holds ways [g * waysPerGroup, (g + 1) * waysPerGroup)
+     *  of every set. */
+    TagStore tags;
     std::uint32_t waysPerGroup;
-    unsigned blockShift = 0;  //!< log2(block_bytes)
-    unsigned tagShift = 0;    //!< log2(block_bytes * sets)
-    std::uint32_t wayStride = 1;  //!< pow2 plane row width >= assoc
-    unsigned strideShift = 0;     //!< log2(wayStride)
-    std::uint64_t waysMask = 0;   //!< low assoc bits set
-
-    // Structure-of-arrays tag state: [set << strideShift | way] planes
-    // plus one valid/dirty bitmap word per set. Recency is a packed
-    // exact-LRU rank plane (mem/rank_plane.hh): one word per 8-way
-    // set instead of eight 64-bit stamps.
-    std::vector<std::uint64_t> tagPlane;
-    std::vector<std::uint64_t> validBits;  //!< [set]
-    std::vector<std::uint64_t> dirtyBits;  //!< [set]
-    RankPlane ranks;
     MainMemory mem;
     Cycle portFree = 0;
     /** Regions = d-groups; total_nj is the pre-refactor accumulator. */

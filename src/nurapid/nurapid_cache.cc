@@ -92,7 +92,7 @@ NuRapidCache::ensureFree(std::uint32_t group, std::uint32_t region,
                        victim_dirty, now);
         if (victim_dirty)
             mem.write(p.block_bytes);
-        tagArray.invalidateEntry(fr.set, fr.way);
+        tagArray.invalidate(fr.set, fr.way);
         dataArray.remove(group, f);
         ++cnt.restrictionEvictions;
         ++cnt.evictions;
@@ -352,13 +352,7 @@ NuRapidCache::regionOccupancy(std::vector<std::uint64_t> &out) const
 void
 NuRapidCache::forEachResident(const ResidentFn &fn) const
 {
-    for (std::uint32_t s = 0; s < tagArray.numSets(); ++s) {
-        for (std::uint32_t w = 0; w < tagArray.assoc(); ++w) {
-            const TagArray::Entry &e = tagArray.entry(s, w);
-            if (e.valid)
-                fn(tagArray.blockAddr(s, w), e.dirty);
-        }
-    }
+    tagArray.forEachResident(fn);
 }
 
 bool

@@ -183,11 +183,7 @@ IntervalRecorder::takeSnapshot()
 std::uint64_t
 ObsConfig::resolvedInterval() const
 {
-    if (interval)
-        return interval;
-    const std::uint64_t v =
-        envUint("NURAPID_OBS_INTERVAL", kDefaultInterval);
-    return v ? v : kDefaultInterval;
+    return interval ? interval : kDefaultInterval;
 }
 
 std::uint64_t

@@ -23,7 +23,7 @@
  *    organization counter plus derived series (per-region occupancy
  *    and hit share, average/percentile access latency, demotion
  *    rate). Epochs are reference-count windows (default 64K refs,
- *    NURAPID_OBS_INTERVAL); the core ticks the recorder once per
+ *    --obs-interval); the core ticks the recorder once per
  *    retired reference in runTyped and runDistilled alike. Snapshots
  *    are restricted to values that are per-record exact in both paths
  *    (cycles, instructions, organization counters, region hits,
@@ -323,13 +323,12 @@ class IntervalRecorder
 /** Per-run observability request, carried by RunRequest / System. */
 struct ObsConfig
 {
-    /** Default epoch length (references) when neither the config nor
-     *  NURAPID_OBS_INTERVAL overrides it. */
+    /** Default epoch length (references) when the config sets none. */
     static constexpr std::uint64_t kDefaultInterval = 65536;
 
     bool record_events = false;   //!< buffer the typed event stream
     bool record_metrics = false;  //!< build the interval timeline
-    std::uint64_t interval = 0;   //!< refs/epoch; 0 = env default
+    std::uint64_t interval = 0;   //!< refs/epoch; 0 = kDefaultInterval
     std::uint64_t event_cap = 0;  //!< ring size; 0 = env default
 
     std::string events_path;    //!< JSONL event dump (--trace-out)
@@ -344,7 +343,7 @@ struct ObsConfig
 
     bool enabled() const { return record_events || record_metrics; }
 
-    /** interval, else NURAPID_OBS_INTERVAL, else kDefaultInterval. */
+    /** interval, else kDefaultInterval. */
     std::uint64_t resolvedInterval() const;
 
     /** event_cap, else NURAPID_OBS_EVENT_CAP, else 0 (unbounded). */

@@ -94,6 +94,8 @@ System::runRecords(std::uint64_t records)
     if (records == 0)
         return;
     if (distilled) {
+        // runAll()'s warmup and measure phases end on the cuts the
+        // constructor distilled at.
         const std::uint64_t end = consumed + records;
         if (end <= distilled->size() && distilled->isCut(end)) {
             withConcreteOrg(*lowerMem, spec.kind, [&](auto &org) {
@@ -102,23 +104,15 @@ System::runRecords(std::uint64_t records)
             consumed = end;
             return;
         }
-        // A custom phase schedule that does not land on the distilled
-        // cuts: before anything has replayed, fall back to the live
-        // loop wholesale; afterwards the L1/predictor tables are stale
-        // and no correct continuation exists.
-        panic_if(consumed != 0,
-                 "segment end %llu is not a distillation cut; set "
-                 "NURAPID_DISTILL=0 for custom phase schedules",
-                 static_cast<unsigned long long>(end));
-        distilled.reset();
+        panic("segment end %llu is not a distillation cut",
+              static_cast<unsigned long long>(end));
     }
-    if (!packed || consumed + records > packed->size()) {
+    if (!packed) {
         // Only the live loop reads packed records; the first request
         // covers the whole warmup+measure schedule.
         EngineSpan span("trace-pregen", "pregen " + prof.name);
         packed = sharedPackedTrace(
-            prof, std::max(consumed + records,
-                           length.warmup_records + length.measure_records));
+            prof, length.warmup_records + length.measure_records);
     }
     PackedTrace::Cursor cur =
         packed->cursorRange(consumed, consumed + records);

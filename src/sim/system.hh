@@ -71,13 +71,10 @@ class System
     /** Runs warmup (stats then reset) and the measurement phase. */
     RunMetrics runAll();
 
-    /** Lower-level phases for custom experiments. */
-    void warmup();
-    void measure();
     RunMetrics metrics() const;
 
     /**
-     * Arms the flight recorder for this run. Call before measure():
+     * Arms the flight recorder for this run. Call before runAll():
      * the sink and recorder attach at measurement start, so warmup
      * stays unobserved and the epoch-0 baseline reflects the
      * post-reset counters. No-op when @p cfg requests nothing.
@@ -94,6 +91,9 @@ class System
     SetAssocCache &l1d() { return l1dCache; }
 
   private:
+    void warmup();
+    void measure();
+
     /** Feeds the next @p records workload records through the core via
      *  the devirtualized per-organization loop: distilled replay, or
      *  the packed-record loop when NURAPID_DISTILL=0. */
@@ -106,16 +106,14 @@ class System
     SetAssocCache l1iCache;
     SetAssocCache l1dCache;
     std::unique_ptr<OooCore> coreModel;
-    /** Shared packed stream, built on the live loop's first segment
-     *  (never for a distilled run), and the count of records this
-     *  system has consumed. */
+    /** Shared packed stream, built on the live loop's first non-empty
+     *  segment (never for a distilled run), and the count of records
+     *  this system has consumed. */
     std::shared_ptr<const PackedTrace> packed;
     std::uint64_t consumed = 0;
     /** Shared distilled L2-event stream (null when distillation is
-     *  off) and this system's replay position in it. Once any segment
-     *  has replayed distilled, the L1/predictor tables are stale, so
-     *  every later segment must replay distilled too — runRecords
-     *  panics on a segment that does not end on a distillation cut. */
+     *  off) and this system's replay position in it. Every segment
+     *  must end on a distillation cut; runRecords panics otherwise. */
     std::shared_ptr<const DistilledTrace> distilled;
     DistilledTrace::Cursor dcur;
     /** Finishes the timeline and writes any requested export files,

@@ -76,8 +76,7 @@ usage(const char *argv0)
         "                         trace.json (chrome://tracing,\n"
         "                         ui.perfetto.dev)\n"
         "  --obs-interval N       references per observability epoch\n"
-        "                         (default: NURAPID_OBS_INTERVAL or "
-        "65536)\n"
+        "                         (default 65536)\n"
         "  --engine-trace-out F   record host-time engine spans (trace\n"
         "                         pregen, distill decode, run-cache\n"
         "                         probe/store, per-config\n"
@@ -102,8 +101,6 @@ usage(const char *argv0)
         "  NURAPID_AUDIT           1 enables the invariant-audit layer\n"
         "  NURAPID_AUDIT_INTERVAL  accesses between audit sweeps\n"
         "                          (default 4096)\n"
-        "  NURAPID_OBS_INTERVAL    references per observability epoch\n"
-        "                          (default 65536)\n"
         "  NURAPID_OBS_EVENT_CAP   flight-recorder ring capacity;\n"
         "                          0/unset = unbounded\n"
         "  NURAPID_ENGINE_TRACE    engine span trace output path\n"

@@ -13,6 +13,8 @@
 #include <string>
 
 #include "common/rng.hh"
+#include "mem/set_assoc_cache.hh"
+#include "nurapid/coupled_nuca.hh"
 #include "nurapid/data_array.hh"
 #include "nurapid/nurapid_cache.hh"
 #include "nurapid/tag_array.hh"
@@ -186,6 +188,76 @@ TEST(TagArrayAudit, DetectsDuplicateTag)
     ASSERT_FALSE(sink.first().empty());
     EXPECT_EQ(sink.first()[0].invariant, "duplicate-tag");
     EXPECT_EQ(sink.first()[0].set, 0u);
+}
+
+// The tag-store audit is shared by every organization; each reports
+// under its own component name, the coupled cache with the d-group of
+// the offending way.
+TEST(TagStoreAudit, SetAssocCacheReportsUnderItsName)
+{
+    SetAssocCache cache({"l2.audit", 64 * 4 * 64, 4, 64});
+    for (Addr a = 0; a < 64; ++a)
+        cache.access(a * 64, a % 3 == 0);
+    CountingAuditSink clean;
+    EXPECT_TRUE(cache.audit(clean)) << clean.summary();
+
+    cache.tagsForTesting().fill(9, 1, 42, false);
+    cache.tagsForTesting().fill(9, 3, 42, true);
+    CountingAuditSink dup;
+    EXPECT_FALSE(cache.audit(dup));
+    ASSERT_EQ(dup.count(), 1u);
+    const AuditViolation &d = dup.first()[0];
+    EXPECT_EQ(d.component, "l2.audit");
+    EXPECT_EQ(d.invariant, "duplicate-tag");
+    EXPECT_EQ(d.set, 9u);
+    EXPECT_EQ(d.way, 1u);
+    EXPECT_EQ(d.group, AuditViolation::kNoIndex);
+
+    cache.tagsForTesting().invalidate(9, 3);
+    cache.tagsForTesting().ranksForTesting().setWordForTesting(17, 0);
+    CountingAuditSink rank;
+    EXPECT_FALSE(cache.audit(rank));
+    ASSERT_EQ(rank.count(), 1u);
+    EXPECT_EQ(rank.first()[0].component, "l2.audit");
+    EXPECT_EQ(rank.first()[0].invariant, "lru-rank");
+    EXPECT_EQ(rank.first()[0].set, 17u);
+}
+
+TEST(TagStoreAudit, CoupledNucaReportsDGroupOfDuplicate)
+{
+    CoupledNucaCache::Params p;
+    p.name = "sa.audit";
+    p.capacity_bytes = 64 * 1024;  // 64 sets of 8 ways, 2 per d-group
+    p.assoc = 8;
+    p.block_bytes = 128;
+    p.num_dgroups = 4;
+    CoupledNucaCache cache(model(), p);
+    Cycle now = 0;
+    for (Addr a = 0; a < 256; ++a)
+        cache.access(a * 128, AccessType::Read, now += 100);
+    CountingAuditSink clean;
+    EXPECT_TRUE(cache.audit(clean)) << clean.summary();
+
+    TagStore &tags = cache.tagsForTesting();
+    tags.fill(3, 5, tags.tagAt(3, 2), false);
+    CountingAuditSink dup;
+    EXPECT_FALSE(cache.audit(dup));
+    ASSERT_EQ(dup.count(), 1u);
+    const AuditViolation &d = dup.first()[0];
+    EXPECT_EQ(d.component, "sa.audit");
+    EXPECT_EQ(d.invariant, "duplicate-tag");
+    EXPECT_EQ(d.set, 3u);
+    EXPECT_EQ(d.way, 2u);
+    EXPECT_EQ(d.group, 1u);  // ways 2 and 3 sit in d-group 1
+
+    tags.invalidate(3, 5);
+    tags.ranksForTesting().setWordForTesting(40, ~std::uint64_t{0});
+    CountingAuditSink rank;
+    EXPECT_FALSE(cache.audit(rank));
+    ASSERT_EQ(rank.count(), 1u);
+    EXPECT_EQ(rank.first()[0].component, "sa.audit");
+    EXPECT_EQ(rank.first()[0].invariant, "lru-rank");
+    EXPECT_EQ(rank.first()[0].set, 40u);
 }
 
 TEST(DataArrayAudit, CleanAfterChurn)

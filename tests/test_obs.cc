@@ -248,16 +248,17 @@ TEST(Obs, MetricsOnlySinkKeepsAggregatesWithoutBuffering)
 }
 
 /** One observed D-NUCA run exported to all three files and parsed
- *  back; @p interval 0 leaves the epoch length to the environment. */
+ *  back. */
 void
-checkExportsRoundTrip(std::uint64_t interval)
+checkExportsRoundTrip()
 {
+    constexpr std::uint64_t kInterval = 2048;
     const SimLength len{5'000, 20'000};
     System sys(OrgSpec::dnucaSsPerformance(), findProfile("gzip"), len);
     ObsConfig cfg;
     cfg.record_events = true;
     cfg.record_metrics = true;
-    cfg.interval = interval;
+    cfg.interval = kInterval;
     const std::string dir = ::testing::TempDir();
     cfg.events_path = dir + "obs_events.jsonl";
     cfg.metrics_path = dir + "obs_metrics.jsonl";
@@ -279,8 +280,7 @@ checkExportsRoundTrip(std::uint64_t interval)
     MetricsDoc metrics;
     ASSERT_TRUE(readJsonlFile(cfg.metrics_path, metrics, &err)) << err;
     EXPECT_EQ(metrics.meta.get("meta").asString(), "nurapid-metrics");
-    EXPECT_EQ(metrics.meta.get("interval").asUint(),
-              interval ? interval : ObsConfig::kDefaultInterval);
+    EXPECT_EQ(metrics.meta.get("interval").asUint(), kInterval);
     ASSERT_EQ(metrics.epochs.size(),
               sys.observabilityRecorder()->timeline().size());
     const Json &last = metrics.epochs.back();
@@ -296,6 +296,9 @@ checkExportsRoundTrip(std::uint64_t interval)
 
 TEST(Obs, ExportsRoundTripThroughJsonParser)
 {
+    // An unset interval means the default epoch length.
+    EXPECT_EQ(ObsConfig{}.resolvedInterval(), ObsConfig::kDefaultInterval);
+
     // Besides the plain run, negative or huge env values must fall back
     // to the defaults instead of wrapping to 2^64-1 or reserving a ring
     // the process cannot allocate.
@@ -303,18 +306,16 @@ TEST(Obs, ExportsRoundTripThroughJsonParser)
     {
         const char *name;
         const char *value;
-        std::uint64_t interval;  // 0: left to the environment
     };
     for (const EnvInput &in :
-         {EnvInput{nullptr, nullptr, 2048},
-          EnvInput{"NURAPID_OBS_EVENT_CAP", "-1", 2048},
-          EnvInput{"NURAPID_OBS_EVENT_CAP", "99999999999", 2048},
-          EnvInput{"NURAPID_OBS_INTERVAL", "-1", 0}}) {
+         {EnvInput{nullptr, nullptr},
+          EnvInput{"NURAPID_OBS_EVENT_CAP", "-1"},
+          EnvInput{"NURAPID_OBS_EVENT_CAP", "99999999999"}}) {
         SCOPED_TRACE(in.name ? std::string(in.name) + "=" + in.value
                              : std::string("no env"));
         if (in.name)
             ::setenv(in.name, in.value, 1);
-        checkExportsRoundTrip(in.interval);
+        checkExportsRoundTrip();
         if (in.name)
             ::unsetenv(in.name);
     }

@@ -1,8 +1,10 @@
 /**
  * @file
  * Structure-of-arrays layout tests: the packed tag/valid/dirty/LRU
- * planes must stay consistent with a plain array-of-structs reference
- * model under randomized fill/evict/touch churn, and the probe kernels
+ * planes of TagStore (bare, and as NuRAPID's TagArray with forward
+ * pointers) must stay consistent with a plain array-of-structs
+ * reference model under randomized fill/evict/touch/swap churn, and
+ * the probe kernels
  * must agree bit-for-bit with a per-way expected mask on randomized
  * rows of every stride up to 64 (including duplicate tags).
  */
@@ -11,10 +13,12 @@
 
 #include <cstdint>
 #include <list>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
 #include "mem/tag_probe.hh"
+#include "mem/tag_store.hh"
 #include "nurapid/data_array.hh"
 #include "nurapid/tag_array.hh"
 
@@ -103,7 +107,7 @@ TEST(TagProbe, SwapBitsExchangesExactlyTwoBits)
     }
 }
 
-/** Plain array-of-structs shadow of one TagArray set. */
+/** Plain array-of-structs shadow of one tag entry. */
 struct RefEntry
 {
     Addr tag = 0;
@@ -113,20 +117,28 @@ struct RefEntry
     std::uint32_t frame = 0;
 };
 
-TEST(SoaLayout, TagArrayPlanesTrackReferenceModel)
+/**
+ * Drives @p store through randomized fill/evict/touch/dirty/swap churn
+ * beside an array-of-structs reference with list-based recency, then
+ * checks every plane, probe, walk and count against it. With
+ * @p forward set (the same object as @p store) forward pointers ride
+ * along. Victims are picked both set-wide (victimWay) and within
+ * regions of @p ways_per_region ways (victimIn).
+ */
+void
+churnAgainstReference(TagStore &store, TagArray *forward,
+                      std::uint32_t ways_per_region, std::uint64_t seed)
 {
-    constexpr std::uint32_t kSets = 16;
-    constexpr std::uint32_t kAssoc = 8;
-    TagArray t(std::uint64_t{kSets} * kAssoc * 128, kAssoc, 128);
-    ASSERT_EQ(t.numSets(), kSets);
-
+    const std::uint32_t sets = store.numSets();
+    const std::uint32_t ways = store.assoc();
+    const std::uint32_t block = store.blockBytes();
     std::vector<std::vector<RefEntry>> ref(
-        kSets, std::vector<RefEntry>(kAssoc));
+        sets, std::vector<RefEntry>(ways));
     // Recency per set, most recent first; seeded in way order to match
-    // the array's initial intrusive chain.
-    std::vector<std::list<std::uint32_t>> recency(kSets);
+    // the store's initial ranks.
+    std::vector<std::list<std::uint32_t>> recency(sets);
     for (auto &r : recency) {
-        for (std::uint32_t w = 0; w < kAssoc; ++w)
+        for (std::uint32_t w = 0; w < ways; ++w)
             r.push_back(w);
     }
 
@@ -134,103 +146,176 @@ TEST(SoaLayout, TagArrayPlanesTrackReferenceModel)
         recency[s].remove(w);
         recency[s].push_front(w);
     };
+    // Reference victim among ways [first, first + count): the first
+    // invalid way, else the one latest in recency order.
+    const auto refVictim = [&](std::uint32_t s, std::uint32_t first,
+                               std::uint32_t count) {
+        for (std::uint32_t w = first; w < first + count; ++w) {
+            if (!ref[s][w].valid)
+                return w;
+        }
+        for (auto it = recency[s].rbegin(); it != recency[s].rend(); ++it) {
+            if (*it >= first && *it < first + count)
+                return *it;
+        }
+        return ways;
+    };
 
-    Rng rng(23, 0x50d);
+    Rng rng(seed, 0x50d);
     for (unsigned op = 0; op < 20000; ++op) {
-        const std::uint32_t s = rng.below(kSets);
-        switch (rng.below(5)) {
-          case 0: {  // fill the replacement victim (miss path)
-            const std::uint32_t w = t.victimWay(s);
-            // Reference victim: first invalid way, else the LRU way.
-            std::uint32_t want = kAssoc;
-            for (std::uint32_t cand = 0; cand < kAssoc; ++cand) {
-                if (!ref[s][cand].valid) {
-                    want = cand;
-                    break;
-                }
+        const std::uint32_t s = rng.below(sets);
+        switch (rng.below(forward ? 7 : 6)) {
+          case 0:    // fill the set-wide victim (miss path)
+          case 1: {  // fill a region's victim (bubble placement)
+            std::uint32_t w;
+            if (rng.below(2) == 0) {
+                w = store.victimWay(s);
+                ASSERT_EQ(w, refVictim(s, 0, ways)) << "set " << s;
+            } else {
+                const std::uint32_t first =
+                    rng.below(ways / ways_per_region) * ways_per_region;
+                w = store.victimIn(s, first, ways_per_region);
+                ASSERT_EQ(w, refVictim(s, first, ways_per_region))
+                    << "set " << s << " first " << first;
             }
-            if (want == kAssoc)
-                want = recency[s].back();
-            ASSERT_EQ(w, want) << "set " << s;
             RefEntry &e = ref[s][w];
             e.tag = rng.below(64);
             e.valid = true;
             e.dirty = rng.below(2) != 0;
-            e.group = static_cast<std::uint8_t>(rng.below(4));
-            e.frame = rng.below(512);
-            t.fillEntry(s, w, e.tag, e.dirty, e.group, e.frame);
-            t.touch(s, w);
+            if (forward) {
+                e.group = static_cast<std::uint8_t>(rng.below(4));
+                e.frame = rng.below(512);
+                forward->fillEntry(s, w, e.tag, e.dirty, e.group, e.frame);
+            } else {
+                store.fill(s, w, e.tag, e.dirty);
+            }
+            store.touch(s, w);
             promote(s, w);
             break;
           }
-          case 1: {  // touch a random way (hit path)
-            const std::uint32_t w = rng.below(kAssoc);
-            t.touch(s, w);
+          case 2: {  // touch a random way (hit path)
+            const std::uint32_t w = rng.below(ways);
+            store.touch(s, w);
             promote(s, w);
             break;
           }
-          case 2: {  // evict a random way
-            const std::uint32_t w = rng.below(kAssoc);
-            t.invalidateEntry(s, w);
+          case 3: {  // evict a random way
+            const std::uint32_t w = rng.below(ways);
+            store.invalidate(s, w);
             ref[s][w].valid = false;
             ref[s][w].dirty = false;
             break;
           }
-          case 3: {  // flip dirty (writeback / store hit)
-            const std::uint32_t w = rng.below(kAssoc);
+          case 4: {  // flip dirty (writeback / store hit)
+            const std::uint32_t w = rng.below(ways);
             const bool d = rng.below(2) != 0;
-            t.setDirty(s, w, d);
+            store.setDirty(s, w, d);
             ref[s][w].dirty = d;
             break;
           }
-          case 4: {  // retarget the forward pointer (promote/demote)
-            const std::uint32_t w = rng.below(kAssoc);
+          case 5: {  // bubble swap: lines and recency ranks trade ways
+            const std::uint32_t a = rng.below(ways);
+            const std::uint32_t b = rng.below(ways);
+            store.swapWays(s, a, b);
+            if (forward) {
+                // The forward pointer travels with its line.
+                forward->setForward(s, a, ref[s][b].group, ref[s][b].frame);
+                forward->setForward(s, b, ref[s][a].group, ref[s][a].frame);
+            }
+            std::swap(ref[s][a], ref[s][b]);
+            for (auto &w : recency[s])
+                w = w == a ? b : w == b ? a : w;
+            break;
+          }
+          case 6: {  // retarget the forward pointer (promote/demote)
+            const std::uint32_t w = rng.below(ways);
             ref[s][w].group = static_cast<std::uint8_t>(rng.below(4));
             ref[s][w].frame = rng.below(512);
-            t.setForward(s, w, ref[s][w].group, ref[s][w].frame);
+            forward->setForward(s, w, ref[s][w].group, ref[s][w].frame);
             break;
           }
         }
     }
 
     std::uint64_t want_valid = 0;
-    for (std::uint32_t s = 0; s < kSets; ++s) {
-        for (std::uint32_t w = 0; w < kAssoc; ++w) {
+    std::vector<std::uint64_t> want_occupancy(ways / ways_per_region, 0);
+    std::vector<std::pair<Addr, bool>> want_resident;
+    for (std::uint32_t s = 0; s < sets; ++s) {
+        for (std::uint32_t w = 0; w < ways; ++w) {
             const RefEntry &r = ref[s][w];
-            const TagArray::Entry e = t.entry(s, w);
-            EXPECT_EQ(e.valid, r.valid) << s << "/" << w;
-            EXPECT_EQ(t.isValid(s, w), r.valid);
-            EXPECT_EQ(t.isDirty(s, w), r.dirty);
-            if (r.valid) {
-                EXPECT_EQ(e.tag, r.tag);
+            EXPECT_EQ(store.isValid(s, w), r.valid) << s << "/" << w;
+            EXPECT_EQ(store.isDirty(s, w), r.dirty) << s << "/" << w;
+            if (forward) {
+                const TagArray::Entry e = forward->entry(s, w);
+                EXPECT_EQ(e.valid, r.valid);
                 EXPECT_EQ(e.dirty, r.dirty);
+            }
+            if (!r.valid)
+                continue;
+            EXPECT_EQ(store.tagAt(s, w), r.tag);
+            const Addr addr = (r.tag * sets + s) * block;
+            EXPECT_EQ(store.blockAddr(s, w), addr);
+            if (forward) {
+                const TagArray::Entry e = forward->entry(s, w);
+                EXPECT_EQ(e.tag, r.tag);
                 EXPECT_EQ(e.group, r.group);
                 EXPECT_EQ(e.frame, r.frame);
-                EXPECT_EQ(t.groupOf(s, w), r.group);
-                EXPECT_EQ(t.frameOf(s, w), r.frame);
-                ++want_valid;
+                EXPECT_EQ(forward->groupOf(s, w), r.group);
+                EXPECT_EQ(forward->frameOf(s, w), r.frame);
             }
+            ++want_valid;
+            ++want_occupancy[w / ways_per_region];
+            want_resident.emplace_back(addr, r.dirty);
         }
-        // The probe-based lookup agrees with a first-match scan.
+        // The probe-based lookup agrees with a first-match scan, and
+        // match() names every matching valid way.
         for (std::uint64_t tag = 0; tag < 64; ++tag) {
-            std::uint32_t want_way = kAssoc;
-            for (std::uint32_t w = 0; w < kAssoc; ++w) {
+            std::uint32_t want_way = ways;
+            std::uint64_t want_mask = 0;
+            for (std::uint32_t w = ways; w-- > 0;) {
                 if (ref[s][w].valid && ref[s][w].tag == tag) {
                     want_way = w;
-                    break;
+                    want_mask |= std::uint64_t{1} << w;
                 }
             }
-            const Addr block =
-                (static_cast<Addr>(tag) * kSets + s) * 128;
-            const TagArray::Lookup look = t.lookup(block);
+            EXPECT_EQ(store.match(s, tag), want_mask);
+            const TagStore::Lookup look =
+                store.lookup((static_cast<Addr>(tag) * sets + s) * block);
             EXPECT_EQ(look.set, s);
-            EXPECT_EQ(look.hit, want_way != kAssoc);
+            EXPECT_EQ(look.hit, want_way != ways);
             if (look.hit) {
                 EXPECT_EQ(look.way, want_way);
             }
         }
     }
-    EXPECT_EQ(t.validCount(), want_valid);
+    EXPECT_EQ(store.validCount(), want_valid);
+    std::vector<std::uint64_t> occupancy;
+    store.occupancy(ways_per_region, occupancy);
+    EXPECT_EQ(occupancy, want_occupancy);
+    std::vector<std::pair<Addr, bool>> resident;
+    store.forEachResident(
+        [&](Addr a, bool d) { resident.emplace_back(a, d); });
+    EXPECT_EQ(resident, want_resident);
+}
+
+TEST(SoaLayout, TagArrayPlanesTrackReferenceModel)
+{
+    constexpr std::uint32_t kSets = 16;
+    constexpr std::uint32_t kAssoc = 8;
+    TagArray t(std::uint64_t{kSets} * kAssoc * 128, kAssoc, 128);
+    ASSERT_EQ(t.numSets(), kSets);
+    churnAgainstReference(t, &t, 2, 23);
+}
+
+TEST(SoaLayout, TagStorePlanesTrackReferenceModel)
+{
+    // D-NUCA's shape (16 ways in 8 bank rows of 2, an unpadded row)
+    // and a padded row (12 ways in regions of 4).
+    for (const std::uint32_t ways : {16u, 12u}) {
+        TagStore store("test:", std::uint64_t{32} * ways * 64, ways, 64);
+        ASSERT_EQ(store.numSets(), 32u);
+        churnAgainstReference(store, nullptr, ways == 16 ? 2 : 4, 37);
+    }
 }
 
 TEST(SoaLayout, DataArrayPlanesSurviveChurnAndStayAudited)
