@@ -22,17 +22,6 @@ StatGroup::addCounter(const std::string &name, Counter &c)
     return c;
 }
 
-Average &
-StatGroup::addAverage(const std::string &name, Average &a)
-{
-    panic_if(averageIndex.count(name),
-             "duplicate average '%s' in group '%s'",
-             name.c_str(), groupName.c_str());
-    averages.emplace_back(name, &a);
-    averageIndex[name] = &a;
-    return a;
-}
-
 std::uint64_t
 StatGroup::counterValue(const std::string &name) const
 {
@@ -41,16 +30,6 @@ StatGroup::counterValue(const std::string &name) const
         fatal("no counter '%s' in stat group '%s'",
               name.c_str(), groupName.c_str());
     return it->second->value();
-}
-
-const Average &
-StatGroup::average(const std::string &name) const
-{
-    auto it = averageIndex.find(name);
-    if (it == averageIndex.end())
-        fatal("no average '%s' in stat group '%s'",
-              name.c_str(), groupName.c_str());
-    return *it->second;
 }
 
 bool
@@ -74,8 +53,6 @@ StatGroup::resetAll()
 {
     for (auto &[name, c] : counters)
         c->reset();
-    for (auto &[name, a] : averages)
-        a->reset();
 }
 
 std::string
@@ -85,10 +62,6 @@ StatGroup::dump() const
     for (const auto &[name, c] : counters) {
         os << (groupName.empty() ? name : groupName + "." + name)
            << " " << c->value() << "\n";
-    }
-    for (const auto &[name, a] : averages) {
-        os << (groupName.empty() ? name : groupName + "." + name)
-           << " mean=" << a->mean() << " samples=" << a->samples() << "\n";
     }
     return os.str();
 }

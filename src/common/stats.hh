@@ -76,14 +76,8 @@ class StatGroup
     /** Registers a counter under @p name; returns it for chaining. */
     Counter &addCounter(const std::string &name, Counter &c);
 
-    /** Registers an average under @p name. */
-    Average &addAverage(const std::string &name, Average &a);
-
     /** Looks up a counter value; fatal if absent (test convenience). */
     std::uint64_t counterValue(const std::string &name) const;
-
-    /** Looks up an average; fatal if absent. */
-    const Average &average(const std::string &name) const;
 
     /** True if a counter with @p name was registered. */
     bool hasCounter(const std::string &name) const;
@@ -104,9 +98,7 @@ class StatGroup
   private:
     std::string groupName;
     std::vector<std::pair<std::string, Counter *>> counters;
-    std::vector<std::pair<std::string, Average *>> averages;
     std::map<std::string, Counter *> counterIndex;
-    std::map<std::string, Average *> averageIndex;
 };
 
 } // namespace nurapid

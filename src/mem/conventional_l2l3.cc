@@ -6,14 +6,14 @@ namespace nurapid {
 
 ConventionalL2L3::ConventionalL2L3(const SramMacroModel &model,
                                    const Params &params)
-    : p(params), l2Cache(p.l2), l3Cache(p.l3), mem(p.memory),
+    : Organization("conventional-l2l3", 2, params.memory), p(params),
+      l2Cache(p.l2), l3Cache(p.l3),
       l2Timing(makeUniformTiming(model, p.l2.capacity_bytes, p.l2.assoc,
                                  p.l2.block_bytes, /*sequential=*/true, 1,
                                  p.l2_latency)),
       l3Timing(makeUniformTiming(model, p.l3.capacity_bytes, p.l3.assoc,
                                  p.l3.block_bytes, /*sequential=*/true, 1,
-                                 p.l3_latency)),
-      statGroup(orgName)
+                                 p.l3_latency))
 {
     statGroup.addCounter("accesses", statAccesses);
     statGroup.addCounter("l2_hits", statL2Hits);
@@ -123,21 +123,12 @@ ConventionalL2L3::access(Addr addr, AccessType type, Cycle now)
     return result;
 }
 
-EnergyNJ
-ConventionalL2L3::dynamicEnergyNJ() const
-{
-    return cacheEnergy.total_nj + mem.dynamicEnergyNJ();
-}
-
 void
 ConventionalL2L3::resetStats()
 {
-    statGroup.resetAll();
+    Organization::resetStats();
     l2Cache.stats().resetAll();
     l3Cache.stats().resetAll();
-    mem.resetStats();
-    regionHist.reset();
-    cacheEnergy.reset();
 }
 
 } // namespace nurapid

@@ -11,14 +11,13 @@
 #include <memory>
 #include <string>
 
-#include "mem/lower_memory.hh"
-#include "mem/main_memory.hh"
+#include "mem/organization.hh"
 #include "mem/set_assoc_cache.hh"
 #include "timing/latency_tables.hh"
 
 namespace nurapid {
 
-class ConventionalL2L3 final : public LowerMemory
+class ConventionalL2L3 final : public Organization
 {
   public:
     struct Params
@@ -36,16 +35,7 @@ class ConventionalL2L3 final : public LowerMemory
 
     Result access(Addr addr, AccessType type, Cycle now) override;
 
-    EnergyNJ dynamicEnergyNJ() const override;
-    EnergyNJ cacheEnergyNJ() const override { return cacheEnergy.total_nj; }
-    const EnergyBreakdown *energyBreakdown() const override
-    {
-        return &cacheEnergy;
-    }
-    const std::string &name() const override { return orgName; }
-    StatGroup &stats() override { return statGroup; }
-    const StatGroup &stats() const override { return statGroup; }
-    const Histogram &regionHits() const override { return regionHist; }
+    /** Also resets the L2's and L3's own stat groups. */
     void resetStats() override;
 
     /** Reports each on-chip block once per level it resides in. */
@@ -55,7 +45,7 @@ class ConventionalL2L3 final : public LowerMemory
         l3Cache.forEachValid(fn);
     }
 
-    /** Regions: 0 = L2 blocks, 1 = L3 blocks. */
+    /** Regions (here and in regionHits()): 0 = L2, 1 = L3. */
     void regionOccupancy(std::vector<std::uint64_t> &out) const override
     {
         out.assign({l2Cache.validCount(), l3Cache.validCount()});
@@ -70,7 +60,6 @@ class ConventionalL2L3 final : public LowerMemory
 
     SetAssocCache &l2() { return l2Cache; }
     SetAssocCache &l3() { return l3Cache; }
-    MainMemory &memory() { return mem; }
 
     /** L2 + L3 plane footprint. */
     std::size_t
@@ -80,23 +69,16 @@ class ConventionalL2L3 final : public LowerMemory
     }
 
   private:
-    std::string orgName = "conventional-l2l3";
     Params p;
     SetAssocCache l2Cache;
     SetAssocCache l3Cache;
-    MainMemory mem;
     UniformCacheTiming l2Timing;
     UniformCacheTiming l3Timing;
-    /** Regions = levels (0 = L2, 1 = L3); total_nj is the
-     *  pre-refactor accumulator. */
-    EnergyBreakdown cacheEnergy{2};
 
-    StatGroup statGroup;
     Counter statAccesses;
     Counter statL2Hits;
     Counter statL3Hits;
     Counter statMemFills;
-    Histogram regionHist{2};  //!< 0 = L2 hit, 1 = L3 hit
 };
 
 } // namespace nurapid

@@ -4,7 +4,9 @@
  *
  * The CPU+L1 front end sees "everything below L1" through this one
  * interface, so the conventional L2/L3 hierarchy, D-NUCA, and NuRAPID
- * are interchangeable in the simulated system.
+ * are interchangeable in the simulated system. The five organizations
+ * implement it through the shared bookkeeping shell of
+ * mem/organization.hh.
  */
 
 #ifndef NURAPID_MEM_LOWER_MEMORY_HH
@@ -86,8 +88,8 @@ class LowerMemory
 
     /** Per-component view of cacheEnergyNJ() for the observability
      *  timeline (its total_nj IS the cacheEnergyNJ() accumulator).
-     *  Null for organizations without a breakdown (toy caches, the
-     *  oracle) — the timeline then omits the energy series. */
+     *  Null for stand-ins without a breakdown (the test and benchmark
+     *  doubles) — the timeline then omits the energy series. */
     virtual const EnergyBreakdown *energyBreakdown() const
     {
         return nullptr;
@@ -149,8 +151,8 @@ class LowerMemory
      * Bytes of host memory the organization's per-reference hot state
      * occupies (tag/rank/pointer planes, bitmaps) — the working set
      * its access() path walks, reported by the benchmark harness as a
-     * per-organization footprint. Default 0 = "free" (toy caches, the
-     * oracle).
+     * per-organization footprint. Default 0 = "free" (the test and
+     * benchmark doubles).
      */
     virtual std::size_t hotStateBytes() const { return 0; }
 

@@ -66,12 +66,14 @@ class TagStore
              std::uint32_t num_ways, std::uint32_t block_bytes);
 
     /** Block size and set count are powers of two: index math is
-     *  shifts, not per-access divisions. */
+     *  shifts, not per-access divisions. blockIndex() drops the
+     *  block offset, and setOf() keeps the low set bits of that. */
+    Addr blockIndex(Addr addr) const { return addr >> blockShift; }
+
     std::uint32_t
     setOf(Addr addr) const
     {
-        return static_cast<std::uint32_t>(
-            (addr >> blockShift) & (sets - 1));
+        return static_cast<std::uint32_t>(blockIndex(addr) & (sets - 1));
     }
 
     Addr tagOf(Addr addr) const { return addr >> tagShift; }

@@ -9,14 +9,13 @@
 namespace nurapid {
 
 DNucaCache::DNucaCache(const SramMacroModel &model, const Params &params)
-    : p(params),
+    : Organization(params.name, params.rows, params.memory), p(params),
       times(makeDNucaTiming(model, p.capacity_bytes, p.rows, p.cols,
                             p.block_bytes)),
       tags(p.name + ": D-NUCA", p.capacity_bytes, p.assoc, p.block_bytes),
       waysPerRow(p.assoc / p.rows),
       partialMask((Addr{1} << p.partial_tag_bits) - 1),
-      bankFree(std::size_t{p.rows} * p.cols, 0),
-      mem(p.memory), statGroup(p.name), regionHist(p.rows)
+      bankFree(std::size_t{p.rows} * p.cols, 0)
 {
     fatal_if(p.assoc % p.rows != 0,
              "associativity %u not divisible across %u bank rows",
@@ -251,12 +250,6 @@ DNucaCache::access(Addr addr, AccessType type, Cycle now)
     return result;
 }
 
-EnergyNJ
-DNucaCache::dynamicEnergyNJ() const
-{
-    return cacheEnergy.total_nj + mem.dynamicEnergyNJ();
-}
-
 void
 DNucaCache::regionOccupancy(std::vector<std::uint64_t> &out) const
 {
@@ -281,15 +274,6 @@ std::size_t
 DNucaCache::hotStateBytes() const
 {
     return tags.hotBytes() + bankFree.size() * sizeof(Cycle);
-}
-
-void
-DNucaCache::resetStats()
-{
-    statGroup.resetAll();
-    mem.resetStats();
-    regionHist.reset();
-    cacheEnergy.reset();
 }
 
 } // namespace nurapid

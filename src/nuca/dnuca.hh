@@ -20,8 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "mem/lower_memory.hh"
-#include "mem/main_memory.hh"
+#include "mem/organization.hh"
 #include "mem/tag_store.hh"
 #include "timing/latency_tables.hh"
 
@@ -45,7 +44,7 @@ dnucaSearchName(DNucaSearch s)
     return "unknown";
 }
 
-class DNucaCache final : public LowerMemory
+class DNucaCache final : public Organization
 {
   public:
     struct Params
@@ -66,17 +65,6 @@ class DNucaCache final : public LowerMemory
 
     Result access(Addr addr, AccessType type, Cycle now) override;
 
-    EnergyNJ dynamicEnergyNJ() const override;
-    EnergyNJ cacheEnergyNJ() const override { return cacheEnergy.total_nj; }
-    const EnergyBreakdown *energyBreakdown() const override
-    {
-        return &cacheEnergy;
-    }
-    const std::string &name() const override { return p.name; }
-    StatGroup &stats() override { return statGroup; }
-    const StatGroup &stats() const override { return statGroup; }
-    const Histogram &regionHits() const override { return regionHist; }
-    void resetStats() override;
     void forEachResident(const ResidentFn &fn) const override;
 
     /** Valid-block count per latency region. */
@@ -84,7 +72,6 @@ class DNucaCache final : public LowerMemory
     bool audit(AuditSink &sink) const override;
     std::size_t hotStateBytes() const override;
 
-    MainMemory &memory() { return mem; }
     const DNucaTiming &timing() const { return times; }
 
   private:
@@ -104,12 +91,7 @@ class DNucaCache final : public LowerMemory
     std::uint32_t waysPerRow;
     Addr partialMask;
     std::vector<Cycle> bankFree;  //!< [row * cols + col]
-    MainMemory mem;
-    /** Regions = bank rows; total_nj is the pre-refactor accumulator. */
-    EnergyBreakdown cacheEnergy{p.rows};
-    std::uint64_t auditTick = 0;  //!< periodic-audit access counter
 
-    StatGroup statGroup;
     /** Counters packed into one cache-line-aligned block so an access
      *  stops dirtying 12 scattered counter lines. */
     struct alignas(64) Counters
@@ -128,7 +110,6 @@ class DNucaCache final : public LowerMemory
         Counter falsePartialHits;
     };
     Counters cnt;
-    Histogram regionHist;
 };
 
 } // namespace nurapid

@@ -8,11 +8,10 @@
 namespace nurapid {
 
 SNucaCache::SNucaCache(const SramMacroModel &model, const Params &params)
-    : p(params),
+    : Organization(params.name, params.rows, params.memory), p(params),
       times(makeDNucaTiming(model, p.capacity_bytes, p.rows, p.cols,
                             p.block_bytes)),
-      bankFree(std::size_t{p.rows} * p.cols, 0),
-      mem(p.memory), statGroup(p.name), regionHist(p.rows)
+      bankFree(std::size_t{p.rows} * p.cols, 0)
 {
     const std::uint64_t bank_bytes =
         p.capacity_bytes / (std::uint64_t{p.rows} * p.cols);
@@ -102,12 +101,6 @@ SNucaCache::access(Addr addr, AccessType type, Cycle now)
     return result;
 }
 
-EnergyNJ
-SNucaCache::dynamicEnergyNJ() const
-{
-    return cacheEnergy.total_nj + mem.dynamicEnergyNJ();
-}
-
 void
 SNucaCache::regionOccupancy(std::vector<std::uint64_t> &out) const
 {
@@ -153,12 +146,9 @@ SNucaCache::audit(AuditSink &sink) const
 void
 SNucaCache::resetStats()
 {
-    statGroup.resetAll();
+    Organization::resetStats();
     for (auto &b : banks)
         b.stats().resetAll();
-    mem.resetStats();
-    regionHist.reset();
-    cacheEnergy.reset();
 }
 
 } // namespace nurapid

@@ -18,14 +18,13 @@
 #include <string>
 #include <vector>
 
-#include "mem/lower_memory.hh"
-#include "mem/main_memory.hh"
+#include "mem/organization.hh"
 #include "mem/set_assoc_cache.hh"
 #include "timing/latency_tables.hh"
 
 namespace nurapid {
 
-class SNucaCache final : public LowerMemory
+class SNucaCache final : public Organization
 {
   public:
     struct Params
@@ -43,16 +42,7 @@ class SNucaCache final : public LowerMemory
 
     Result access(Addr addr, AccessType type, Cycle now) override;
 
-    EnergyNJ dynamicEnergyNJ() const override;
-    EnergyNJ cacheEnergyNJ() const override { return cacheEnergy.total_nj; }
-    const EnergyBreakdown *energyBreakdown() const override
-    {
-        return &cacheEnergy;
-    }
-    const std::string &name() const override { return p.name; }
-    StatGroup &stats() override { return statGroup; }
-    const StatGroup &stats() const override { return statGroup; }
-    const Histogram &regionHits() const override { return regionHist; }
+    /** Also resets every bank's own stat group. */
     void resetStats() override;
     void forEachResident(const ResidentFn &fn) const override;
 
@@ -60,7 +50,6 @@ class SNucaCache final : public LowerMemory
     void regionOccupancy(std::vector<std::uint64_t> &out) const override;
     bool audit(AuditSink &sink) const override;
 
-    MainMemory &memory() { return mem; }
     const DNucaTiming &timing() const { return times; }
 
     /** Static bank of an address (row-major index). */
@@ -81,11 +70,7 @@ class SNucaCache final : public LowerMemory
     DNucaTiming times;  //!< same grid timing as D-NUCA
     std::vector<SetAssocCache> banks;
     std::vector<Cycle> bankFree;
-    MainMemory mem;
-    /** Regions = bank rows; total_nj is the pre-refactor accumulator. */
-    EnergyBreakdown cacheEnergy{p.rows};
 
-    StatGroup statGroup;
     /** Counters packed into one cache-line-aligned block so an access
      *  stops dirtying 5 scattered counter lines. */
     struct alignas(64) Counters
@@ -97,7 +82,6 @@ class SNucaCache final : public LowerMemory
         Counter bankWaitCycles;
     };
     Counters cnt;
-    Histogram regionHist;
 };
 
 } // namespace nurapid

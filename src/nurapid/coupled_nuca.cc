@@ -9,13 +9,13 @@ namespace nurapid {
 
 CoupledNucaCache::CoupledNucaCache(const SramMacroModel &model,
                                    const Params &params)
-    : p(params),
+    : Organization(params.name, params.num_dgroups, params.memory),
+      p(params),
       times(makeNuRapidTiming(model, p.capacity_bytes, p.num_dgroups,
                               p.assoc, p.block_bytes)),
       tags(p.name + ": coupled NUCA", p.capacity_bytes, p.assoc,
            p.block_bytes),
-      waysPerGroup(p.assoc / p.num_dgroups),
-      mem(p.memory), statGroup(p.name), regionHist(p.num_dgroups)
+      waysPerGroup(p.assoc / p.num_dgroups)
 {
     fatal_if(p.assoc % p.num_dgroups != 0,
              "associativity %u not divisible across %u d-groups",
@@ -189,12 +189,6 @@ CoupledNucaCache::access(Addr addr, AccessType type, Cycle now)
     return result;
 }
 
-EnergyNJ
-CoupledNucaCache::dynamicEnergyNJ() const
-{
-    return cacheEnergy.total_nj + mem.dynamicEnergyNJ();
-}
-
 void
 CoupledNucaCache::regionOccupancy(std::vector<std::uint64_t> &out) const
 {
@@ -217,15 +211,6 @@ std::size_t
 CoupledNucaCache::hotStateBytes() const
 {
     return tags.hotBytes();
-}
-
-void
-CoupledNucaCache::resetStats()
-{
-    statGroup.resetAll();
-    mem.resetStats();
-    regionHist.reset();
-    cacheEnergy.reset();
 }
 
 } // namespace nurapid

@@ -16,15 +16,14 @@
 #include <string>
 #include <vector>
 
-#include "mem/lower_memory.hh"
-#include "mem/main_memory.hh"
+#include "mem/organization.hh"
 #include "mem/tag_store.hh"
 #include "nurapid/policies.hh"
 #include "timing/latency_tables.hh"
 
 namespace nurapid {
 
-class CoupledNucaCache final : public LowerMemory
+class CoupledNucaCache final : public Organization
 {
   public:
     struct Params
@@ -43,17 +42,6 @@ class CoupledNucaCache final : public LowerMemory
 
     Result access(Addr addr, AccessType type, Cycle now) override;
 
-    EnergyNJ dynamicEnergyNJ() const override;
-    EnergyNJ cacheEnergyNJ() const override { return cacheEnergy.total_nj; }
-    const EnergyBreakdown *energyBreakdown() const override
-    {
-        return &cacheEnergy;
-    }
-    const std::string &name() const override { return p.name; }
-    StatGroup &stats() override { return statGroup; }
-    const StatGroup &stats() const override { return statGroup; }
-    const Histogram &regionHits() const override { return regionHist; }
-    void resetStats() override;
     void forEachResident(const ResidentFn &fn) const override;
 
     /** Valid-block count per latency region. */
@@ -61,7 +49,6 @@ class CoupledNucaCache final : public LowerMemory
     bool audit(AuditSink &sink) const override;
     std::size_t hotStateBytes() const override;
 
-    MainMemory &memory() { return mem; }
     const NuRapidTiming &timing() const { return times; }
 
     /** The tag store itself, for tests that corrupt it. */
@@ -76,13 +63,8 @@ class CoupledNucaCache final : public LowerMemory
      *  of every set. */
     TagStore tags;
     std::uint32_t waysPerGroup;
-    MainMemory mem;
     Cycle portFree = 0;
-    /** Regions = d-groups; total_nj is the pre-refactor accumulator. */
-    EnergyBreakdown cacheEnergy{p.num_dgroups};
-    std::uint64_t auditTick = 0;  //!< periodic-audit access counter
 
-    StatGroup statGroup;
     /** Counters packed into one cache-line-aligned block so an access
      *  stops dirtying 9 scattered counter lines. */
     struct alignas(64) Counters
@@ -98,7 +80,6 @@ class CoupledNucaCache final : public LowerMemory
         Counter blockMoves;
     };
     Counters cnt;
-    Histogram regionHist;
 };
 
 } // namespace nurapid

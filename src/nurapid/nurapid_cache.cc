@@ -8,7 +8,8 @@
 namespace nurapid {
 
 NuRapidCache::NuRapidCache(const SramMacroModel &model, const Params &params)
-    : p(params),
+    : Organization(params.name, params.num_dgroups, params.memory),
+      p(params),
       times(makeNuRapidTiming(model, p.capacity_bytes, p.num_dgroups,
                               p.assoc, p.block_bytes)),
       tagArray(p.capacity_bytes, p.assoc, p.block_bytes),
@@ -20,12 +21,8 @@ NuRapidCache::NuRapidCache(const SramMacroModel &model, const Params &params)
                     : static_cast<std::uint32_t>(
                           p.capacity_bytes / p.num_dgroups / p.block_bytes /
                           p.frame_restriction),
-                p.distance_repl, p.seed),
-      mem(p.memory), statGroup(p.name), regionHist(p.num_dgroups)
+                p.distance_repl, p.seed)
 {
-    fatal_if(!isPowerOf2(p.block_bytes),
-             "block size %u not a power of two", p.block_bytes);
-    blockShift = floorLog2(p.block_bytes);
     fatal_if(p.frame_restriction != 0 &&
                  (p.capacity_bytes / p.num_dgroups / p.block_bytes) %
                          p.frame_restriction != 0,
@@ -126,9 +123,8 @@ NuRapidCache::promote(std::uint32_t set, std::uint32_t way, Cycles &busy,
 
     const std::uint32_t target =
         p.promotion == PromotionPolicy::NextFastest ? g - 1 : 0;
-    const Addr block_index =
-        tagArray.blockAddr(set, way) >> blockShift;
-    const std::uint32_t region = dataArray.regionOf(block_index);
+    const std::uint32_t region = dataArray.regionOf(
+        tagArray.blockIndex(tagArray.blockAddr(set, way)));
 
     ++cnt.promotions;
 
@@ -266,8 +262,8 @@ NuRapidCache::access(Addr addr, AccessType type, Cycle now)
 
         // Distance placement: the new block always enters the fastest
         // d-group (Section 2.1), demoting as needed.
-        const std::uint32_t region = dataArray.regionOf(
-            block >> blockShift);
+        const std::uint32_t region =
+            dataArray.regionOf(tagArray.blockIndex(block));
         const std::uint32_t f0 = ensureFree(0, region, busy, result, now);
 
         tagArray.fillEntry(look.set, way, tagArray.tagOf(block),
@@ -322,21 +318,6 @@ NuRapidCache::access(Addr addr, AccessType type, Cycle now)
     }
 
     return result;
-}
-
-EnergyNJ
-NuRapidCache::dynamicEnergyNJ() const
-{
-    return cacheEnergy.total_nj + mem.dynamicEnergyNJ();
-}
-
-void
-NuRapidCache::resetStats()
-{
-    statGroup.resetAll();
-    mem.resetStats();
-    regionHist.reset();
-    cacheEnergy.reset();
 }
 
 void
@@ -407,7 +388,8 @@ NuRapidCache::audit(AuditSink &sink) const
                                 s, w, e.group, e.frame});
             }
             if (p.frame_restriction != 0) {
-                const Addr bi = tagArray.blockAddr(s, w) >> blockShift;
+                const Addr bi =
+                    tagArray.blockIndex(tagArray.blockAddr(s, w));
                 if (dataArray.regionOfFrame(e.frame) !=
                         dataArray.regionOf(bi)) {
                     clean = false;

@@ -23,8 +23,7 @@
 #include <memory>
 #include <string>
 
-#include "mem/lower_memory.hh"
-#include "mem/main_memory.hh"
+#include "mem/organization.hh"
 #include "nurapid/data_array.hh"
 #include "nurapid/policies.hh"
 #include "nurapid/tag_array.hh"
@@ -32,7 +31,7 @@
 
 namespace nurapid {
 
-class NuRapidCache final : public LowerMemory
+class NuRapidCache final : public Organization
 {
   public:
     struct Params
@@ -59,17 +58,6 @@ class NuRapidCache final : public LowerMemory
 
     Result access(Addr addr, AccessType type, Cycle now) override;
 
-    EnergyNJ dynamicEnergyNJ() const override;
-    EnergyNJ cacheEnergyNJ() const override { return cacheEnergy.total_nj; }
-    const EnergyBreakdown *energyBreakdown() const override
-    {
-        return &cacheEnergy;
-    }
-    const std::string &name() const override { return p.name; }
-    StatGroup &stats() override { return statGroup; }
-    const StatGroup &stats() const override { return statGroup; }
-    const Histogram &regionHits() const override { return regionHist; }
-    void resetStats() override;
     void forEachResident(const ResidentFn &fn) const override;
 
     /** Valid-frame count per d-group. */
@@ -86,7 +74,6 @@ class NuRapidCache final : public LowerMemory
 
     const Params &params() const { return p; }
     const NuRapidTiming &timing() const { return times; }
-    MainMemory &memory() { return mem; }
 
     /** Deep consistency check — audit() into a counting sink. */
     bool checkInvariants() const;
@@ -131,16 +118,10 @@ class NuRapidCache final : public LowerMemory
 
     Params p;
     NuRapidTiming times;
-    unsigned blockShift = 0;  //!< log2(block_bytes)
     TagArray tagArray;
     DataArray dataArray;
-    MainMemory mem;
     Cycle portFree = 0;
-    /** Regions = d-groups; total_nj is the pre-refactor accumulator. */
-    EnergyBreakdown cacheEnergy{p.num_dgroups};
-    std::uint64_t auditTick = 0;  //!< periodic-audit access counter
 
-    StatGroup statGroup;
     /** Counters packed into two cache lines (hot-path updates stay in
      *  the first) so an access stops dirtying 13 scattered lines. */
     struct alignas(64) Counters
@@ -160,7 +141,6 @@ class NuRapidCache final : public LowerMemory
         Counter restrictionEvictions;
     };
     Counters cnt;
-    Histogram regionHist;
 };
 
 } // namespace nurapid

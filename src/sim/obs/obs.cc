@@ -189,8 +189,6 @@ ObsConfig::resolvedInterval() const
 std::uint64_t
 ObsConfig::resolvedEventCap() const
 {
-    if (event_cap)
-        return event_cap;
     return envUint("NURAPID_OBS_EVENT_CAP", 0);
 }
 

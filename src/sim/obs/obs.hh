@@ -329,7 +329,6 @@ struct ObsConfig
     bool record_events = false;   //!< buffer the typed event stream
     bool record_metrics = false;  //!< build the interval timeline
     std::uint64_t interval = 0;   //!< refs/epoch; 0 = kDefaultInterval
-    std::uint64_t event_cap = 0;  //!< ring size; 0 = env default
 
     std::string events_path;    //!< JSONL event dump (--trace-out)
     std::string metrics_path;   //!< JSONL timeline (--metrics-out)
@@ -346,7 +345,7 @@ struct ObsConfig
     /** interval, else kDefaultInterval. */
     std::uint64_t resolvedInterval() const;
 
-    /** event_cap, else NURAPID_OBS_EVENT_CAP, else 0 (unbounded). */
+    /** NURAPID_OBS_EVENT_CAP, else 0 (unbounded). */
     std::uint64_t resolvedEventCap() const;
 };
 

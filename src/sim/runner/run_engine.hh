@@ -19,8 +19,8 @@
  *    spawning workers so no worker pays the init path.
  *  - workloadSuite() (trace/profiles.cc) is a const magic static.
  *  - Rng state lives in per-System objects (the NuRAPID distance
- *    replacer, per-cache replacement policies) and in each stream's
- *    generator, all seeded from the spec/profile, never from a global.
+ *    replacer) and in each stream's generator, all seeded from the
+ *    spec/profile, never from a global.
  *  - The packed/distilled trace registries (trace/packed_trace.hh,
  *    trace/distilled_trace.hh) build each stream once under a lock and
  *    hand out shared const buffers.
