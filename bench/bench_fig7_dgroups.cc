@@ -2,6 +2,7 @@
  * @file
  * Reproduces Figure 7: distribution of d-group accesses for NuRAPID
  * with 2, 4 and 8 d-groups (next-fastest, random distance repl).
+ * Exits 1 if the miss counts differ across d-group counts.
  */
 
 #include "bench/bench_util.hh"
@@ -61,6 +62,15 @@ main()
     }
     std::printf("Promotion swaps, 8dg vs 4dg: %.2fx (paper: 2.2x)\n",
                 promo4 > 0 ? promo8 / promo4 : 0.0);
+
+    // The tag side ignores data placement, so the d-group count cannot
+    // change which references miss.
+    bool equal = true;
+    for (std::size_t i = 0; i < suite.size(); ++i)
+        equal &= n2[i].l2_misses == n4[i].l2_misses &&
+            n4[i].l2_misses == n8[i].l2_misses;
+    std::printf("Miss counts identical across d-group counts: %s\n",
+                equal ? "yes" : "NO (unexpected)");
     benchFooter();
-    return 0;
+    return equal ? 0 : 1;
 }

@@ -128,7 +128,14 @@ for b in $benches; do
         if [ "$i" -gt 1 ]; then
             "$build_dir/bench/$b" > /dev/null
         elif [ "$quiet" -eq 1 ]; then
-            "$build_dir/bench/$b" | tail -n 2
+            # Capture rather than pipe, so the bench's exit status (a
+            # failed invariant check exits 1) is not lost to tail.
+            if ! out=$("$build_dir/bench/$b"); then
+                printf '%s\n' "$out"
+                echo "error: $b exited non-zero" >&2
+                exit 1
+            fi
+            printf '%s\n' "$out" | tail -n 2
         else
             "$build_dir/bench/$b"
         fi

@@ -6,6 +6,7 @@
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
+#include "nurapid/tag_array.hh"
 
 namespace nurapid {
 
@@ -23,13 +24,23 @@ DataArray::DataArray(std::uint32_t num_groups,
     fatal_if(num_regions == 0 || frames_per_group % num_regions != 0,
              "frames per d-group (%u) not divisible into %u regions",
              frames_per_group, num_regions);
+    // Every (d-group, frame) must fit a tag entry's forward pointer,
+    // and every set index (below the frame count) a reverse pointer.
+    fatal_if(num_groups > TagArray::kMaxGroups ||
+                 frames_per_group > TagArray::kMaxFrames ||
+                 std::uint64_t{num_groups} * frames_per_group > kMaxSets,
+             "data array of %u d-groups x %u frames does not fit the "
+             "pointer fields (at most %u d-groups, %u frames per d-group, "
+             "%u frames)", num_groups, frames_per_group,
+             TagArray::kMaxGroups, TagArray::kMaxFrames, kMaxSets);
     const std::size_t total = std::size_t{nGroups} * nFrames;
-    revSet.assign(total, 0);
-    revWay.assign(total, 0);
+    revPlane.assign(total, 0);
     validWords.assign((total + 63) / 64, 0);
-    linkedWords.assign((total + 63) / 64, 0);
-    prevPlane.assign(total, kNoFrame);
-    nextPlane.assign(total, kNoFrame);
+    if (replPolicy == DistanceRepl::LRU) {
+        linkedWords.assign((total + 63) / 64, 0);
+        prevPlane.assign(total, kNoFrame);
+        nextPlane.assign(total, kNoFrame);
+    }
     frameRegion.resize(nFrames);
     for (std::uint32_t f = 0; f < nFrames; ++f)
         frameRegion[f] = f / framesPerRegion;
@@ -122,13 +133,15 @@ DataArray::place(std::uint32_t group, std::uint32_t f, std::uint32_t set,
              "frame (%u, %u) out of range", group, f);
     panic_if(validBit(group, f),
              "placing into occupied frame %u of d-group %u", f, group);
+    panic_if(set >= kMaxSets || way >= kMaxWays,
+             "reverse pointer (%u, %u) does not fit", set, way);
     const std::size_t idx = frameIdx(group, f);
-    revSet[idx] = set;
-    revWay[idx] = static_cast<std::uint8_t>(way);
+    revPlane[idx] = (set << kWayBits) | way;
     validWords[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-    linkFront(group, f);
-    // A fill is a use, as it is for the region-LRU chain above.
-    if (replPolicy == DistanceRepl::TreePLRU)
+    // A fill is a use under both recency policies.
+    if (replPolicy == DistanceRepl::LRU)
+        linkFront(group, f);
+    else if (replPolicy == DistanceRepl::TreePLRU)
         plruTouch(group, f);
 }
 
@@ -141,7 +154,8 @@ DataArray::remove(std::uint32_t group, std::uint32_t f)
              "removing invalid frame %u of d-group %u", f, group);
     const std::size_t idx = frameIdx(group, f);
     validWords[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
-    unlink(group, f);
+    if (replPolicy == DistanceRepl::LRU)
+        unlink(group, f);
     region(group, regionOfFrame(f)).free.push_back(f);
 }
 
@@ -153,8 +167,7 @@ DataArray::swapFrames(std::uint32_t group_a, std::uint32_t frame_a,
              "swapping with an invalid frame");
     const std::size_t ia = frameIdx(group_a, frame_a);
     const std::size_t ib = frameIdx(group_b, frame_b);
-    std::swap(revSet[ia], revSet[ib]);
-    std::swap(revWay[ia], revWay[ib]);
+    std::swap(revPlane[ia], revPlane[ib]);
     touch(group_a, frame_a);
     touch(group_b, frame_b);
 }
@@ -191,14 +204,14 @@ DataArray::audit(AuditSink &sink) const
         chained.resize(words);
         freed.resize(words);
     }
-    const auto testSet = [words](std::vector<std::uint64_t> &bm,
-                                 std::uint32_t i) {
-        (void)words;
+    const auto testSet = [](std::vector<std::uint64_t> &bm,
+                            std::uint32_t i) {
         const std::uint64_t bit = std::uint64_t{1} << (i & 63);
         const bool was = (bm[i >> 6] & bit) != 0;
         bm[i >> 6] |= bit;
         return was;
     };
+    const bool lru = replPolicy == DistanceRepl::LRU;
 
     for (std::uint32_t g = 0; g < nGroups; ++g) {
         const std::size_t base = std::size_t{g} * nFrames;
@@ -206,46 +219,56 @@ DataArray::audit(AuditSink &sink) const
             const RegionList &rl = lists[std::size_t{g} * nRegions + r];
             const std::uint32_t lo = r * framesPerRegion;
 
-            // Walk the LRU chain head→tail, bounding the walk so a
-            // cycle cannot hang the audit.
-            std::fill_n(chained.begin(), words, 0);
-            std::uint32_t chain_len = 0;
-            std::uint32_t prev = kNoFrame;
-            std::uint32_t f = rl.head;
-            while (f != kNoFrame && chain_len <= framesPerRegion) {
-                if (regionOfFrame(f) != r) {
-                    report("chain-crosses-region",
-                           strprintf("frame of region %u on region %u's "
-                                     "chain", regionOfFrame(f), r), g, f);
-                    break;
+            // Frames in use: the LRU chain's length, else the region's
+            // valid frames.
+            std::uint32_t in_use = 0;
+            if (lru) {
+                // Walk the LRU chain head→tail, bounding the walk so a
+                // cycle cannot hang the audit.
+                std::fill_n(chained.begin(), words, 0);
+                std::uint32_t prev = kNoFrame;
+                std::uint32_t f = rl.head;
+                while (f != kNoFrame && in_use <= framesPerRegion) {
+                    if (regionOfFrame(f) != r) {
+                        report("chain-crosses-region",
+                               strprintf("frame of region %u on region "
+                                         "%u's chain", regionOfFrame(f),
+                                         r), g, f);
+                        break;
+                    }
+                    if (testSet(chained, f - lo)) {
+                        report("chain-cycle",
+                               strprintf("frame revisited after %u links",
+                                         in_use), g, f);
+                        break;
+                    }
+                    ++in_use;
+                    if (!linkedBit(g, f))
+                        report("chain-unlinked-node",
+                               "frame on chain but not marked linked", g,
+                               f);
+                    if (!validBit(g, f))
+                        report("chain-invalid-frame",
+                               "invalid frame on the LRU chain", g, f);
+                    if (prevPlane[base + f] != prev) {
+                        report("chain-bad-prev",
+                               strprintf("prev is %u, expected %u",
+                                         prevPlane[base + f], prev), g,
+                               f);
+                    }
+                    prev = f;
+                    f = nextPlane[base + f];
                 }
-                if (testSet(chained, f - lo)) {
-                    report("chain-cycle",
-                           strprintf("frame revisited after %u links",
-                                     chain_len), g, f);
-                    break;
+                if (f == kNoFrame && rl.tail != prev) {
+                    report("chain-bad-tail",
+                           strprintf("tail is %u, chain ends at %u",
+                                     rl.tail, prev), g,
+                           rl.tail == kNoFrame ? AuditViolation::kNoIndex
+                                               : rl.tail);
                 }
-                ++chain_len;
-                if (!linkedBit(g, f))
-                    report("chain-unlinked-node",
-                           "frame on chain but not marked linked", g, f);
-                if (!validBit(g, f))
-                    report("chain-invalid-frame",
-                           "invalid frame on the LRU chain", g, f);
-                if (prevPlane[base + f] != prev) {
-                    report("chain-bad-prev",
-                           strprintf("prev is %u, expected %u",
-                                     prevPlane[base + f], prev), g, f);
-                }
-                prev = f;
-                f = nextPlane[base + f];
-            }
-            if (f == kNoFrame && rl.tail != prev) {
-                report("chain-bad-tail",
-                       strprintf("tail is %u, chain ends at %u", rl.tail,
-                                 prev), g,
-                       rl.tail == kNoFrame ? AuditViolation::kNoIndex
-                                           : rl.tail);
+            } else {
+                for (std::uint32_t i = 0; i < framesPerRegion; ++i)
+                    in_use += validBit(g, lo + i);
             }
 
             // Free list: exactly the invalid frames of the region.
@@ -266,19 +289,18 @@ DataArray::audit(AuditSink &sink) const
                 if (validBit(g, ff))
                     report("free-valid-frame",
                            "valid frame on the free list", g, ff);
-                if (linkedBit(g, ff))
+                if (lru && linkedBit(g, ff))
                     report("free-linked-frame",
                            "free frame still on the LRU chain", g, ff);
             }
 
-            // Every frame is on exactly one of the two structures.
+            // Every frame is on exactly one of the two structures (the
+            // valid side is a structure only under LRU).
             for (std::uint32_t i = 0; i < framesPerRegion; ++i) {
                 const std::uint32_t ff = lo + i;
                 const bool valid = validBit(g, ff);
-                const bool in_chain =
-                    (chained[i >> 6] >> (i & 63)) & 1;
                 const bool in_free = (freed[i >> 6] >> (i & 63)) & 1;
-                if (valid && !in_chain)
+                if (lru && valid && !((chained[i >> 6] >> (i & 63)) & 1))
                     report("valid-not-chained",
                            "valid frame missing from the LRU chain",
                            g, ff);
@@ -287,11 +309,12 @@ DataArray::audit(AuditSink &sink) const
                            "invalid frame missing from the free list",
                            g, ff);
             }
-            if (chain_len + rl.free.size() != framesPerRegion) {
+            if (in_use + rl.free.size() != framesPerRegion) {
                 report("occupancy-mismatch",
-                       strprintf("chain %u + free %zu != region frames "
-                                 "%u in region %u", chain_len,
-                                 rl.free.size(), framesPerRegion, r),
+                       strprintf("%s %u + free %zu != region frames %u "
+                                 "in region %u", lru ? "chain" : "valid",
+                                 in_use, rl.free.size(), framesPerRegion,
+                                 r),
                        g, AuditViolation::kNoIndex);
             }
         }

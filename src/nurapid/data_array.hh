@@ -8,19 +8,20 @@
  * its tag entry so demotions can update forward pointers (Section 2.2,
  * Figure 2).
  *
- * Frame state is structure-of-arrays: parallel 32-bit planes (reverse
- * set pointers, region-LRU prev/next pointers, with kNoFrame stored
- * directly) and byte ways, plus packed valid/linked bitmaps (one bit
- * per frame) — replacing the per-Frame and per-Node records so a
- * touch or swap writes a few dense words. Frames are read through a
- * by-value Frame view (frame()); tests that need to corrupt state
- * write raw fields back with setFrame().
+ * Frame state is structure-of-arrays: one 32-bit reverse-pointer word
+ * per frame, (set << kWayBits) | way, and a packed valid bitmap (one
+ * bit per frame), so a swap exchanges two words. Frames are read
+ * through a by-value Frame view (frame()); tests that need to corrupt
+ * state write raw fields back with setFrame().
  *
  * Distance replacement (Section 2.4.2) picks a victim frame within a
- * region: the region-LRU chain's tail, a uniformly random frame, or
- * (our extension) the leaf a binary tree-PLRU walk selects. The tree
- * is one plane of per-region node bytes next to the region lists,
- * walked and updated only under DistanceRepl::TreePLRU.
+ * region: a uniformly random frame (the paper's choice), the
+ * region-LRU chain's tail, or (our extension) the leaf a binary
+ * tree-PLRU walk selects. Each policy keeps only its own recency
+ * state: the LRU chain (32-bit prev/next planes with kNoFrame stored
+ * directly, plus a linked bitmap) exists only under DistanceRepl::LRU,
+ * and the tree (one plane of per-region node bytes) only under
+ * DistanceRepl::TreePLRU; under Random a hit writes nothing here.
  *
  * Section 2.4.3's pointer-restriction option is modeled by statically
  * partitioning each d-group's frames into *regions*; a block may only
@@ -56,6 +57,16 @@ class DataArray
 
     static constexpr std::uint32_t kNoFrame = 0xffffffff;
 
+    /** Reverse-pointer word: (set << kWayBits) | way. Ways fit four
+     *  bits because the tag array caps associativity at 16. */
+    static constexpr std::uint32_t kWayBits = 4;
+    static constexpr std::uint32_t kMaxWays = 1u << kWayBits;
+    static constexpr std::uint32_t kMaxSets = 1u << (32 - kWayBits);
+
+    /** fatal()s unless every (d-group, frame) fits a forward pointer
+     *  (TagArray::kMaxGroups, TagArray::kMaxFrames) and the frame
+     *  count, which bounds the set count, fits a reverse pointer
+     *  (kMaxSets). */
     DataArray(std::uint32_t num_groups, std::uint32_t frames_per_group,
               std::uint32_t num_regions, DistanceRepl repl,
               std::uint64_t seed);
@@ -95,17 +106,20 @@ class DataArray
                     std::uint32_t group_b, std::uint32_t frame_b);
 
     /**
-     * Records a use of @p f for region-LRU ordering. Inline (with the
-     * chain splice it performs): this runs on every L2 hit.
+     * Records a use of @p f: a chain splice under LRU, a tree walk
+     * under TreePLRU, nothing under Random. Inline: this runs on every
+     * L2 hit.
      */
     void
     touch(std::uint32_t group, std::uint32_t f)
     {
         panic_if(!validBit(group, f), "touching invalid frame");
-        unlink(group, f);
-        linkFront(group, f);
-        if (replPolicy == DistanceRepl::TreePLRU)
+        if (replPolicy == DistanceRepl::LRU) {
+            unlink(group, f);
+            linkFront(group, f);
+        } else if (replPolicy == DistanceRepl::TreePLRU) {
             plruTouch(group, f);
+        }
     }
 
     /** Reads frame (group, f) as a value (range-checked). */
@@ -114,10 +128,9 @@ class DataArray
     {
         panic_if(group >= nGroups || f >= nFrames,
                  "frame (%u, %u) out of range", group, f);
-        const std::size_t idx = frameIdx(group, f);
         Frame fr;
-        fr.set = revSet[idx];
-        fr.way = revWay[idx];
+        fr.set = revSetOf(group, f);
+        fr.way = revWayOf(group, f);
         fr.valid = validBit(group, f);
         return fr;
     }
@@ -126,16 +139,19 @@ class DataArray
      * Raw-writes the fields of frame (group, f) without touching the
      * LRU chains or free lists — the moral equivalent of poking the
      * old Frame record's fields directly. For tests (state corruption
-     * for audit coverage) and trusted plumbing only.
+     * for audit coverage) and trusted plumbing only; panics if the
+     * reverse pointer does not fit its word.
      */
     void
     setFrame(std::uint32_t group, std::uint32_t f, const Frame &fr)
     {
         panic_if(group >= nGroups || f >= nFrames,
                  "frame (%u, %u) out of range", group, f);
+        panic_if(fr.set >= kMaxSets || fr.way >= kMaxWays,
+                 "reverse pointer (%u, %u) does not fit", fr.set,
+                 unsigned{fr.way});
         const std::size_t idx = frameIdx(group, f);
-        revSet[idx] = fr.set;
-        revWay[idx] = static_cast<std::uint8_t>(fr.way);
+        revPlane[idx] = (fr.set << kWayBits) | fr.way;
         const std::uint64_t bit = std::uint64_t{1} << (idx & 63);
         if (fr.valid)
             validWords[idx >> 6] |= bit;
@@ -147,13 +163,13 @@ class DataArray
     std::uint32_t
     revSetOf(std::uint32_t group, std::uint32_t f) const
     {
-        return revSet[frameIdx(group, f)];
+        return revPlane[frameIdx(group, f)] >> kWayBits;
     }
 
     std::uint16_t
     revWayOf(std::uint32_t group, std::uint32_t f) const
     {
-        return revWay[frameIdx(group, f)];
+        return revPlane[frameIdx(group, f)] & (kMaxWays - 1);
     }
 
     std::uint32_t numGroups() const { return nGroups; }
@@ -167,14 +183,14 @@ class DataArray
         return frameRegion[f];
     }
 
-    /** Bytes of per-reference hot state (pointer planes + bitmaps). */
+    /** Bytes of per-reference hot state (pointer planes, bitmaps and
+     *  the policy's recency state). */
     std::size_t
     hotBytes() const
     {
-        return (revSet.size() + prevPlane.size() + nextPlane.size() +
+        return (revPlane.size() + prevPlane.size() + nextPlane.size() +
                 frameRegion.size()) *
                    sizeof(std::uint32_t) +
-               revWay.size() +
                (validWords.size() + linkedWords.size()) *
                    sizeof(std::uint64_t) +
                plruTree.size();
@@ -184,21 +200,23 @@ class DataArray
     std::uint64_t validCount() const;
 
     /**
-     * Audits data-side invariants for every (d-group, region): the LRU
-     * chain links exactly the valid frames of the region (acyclic, with
-     * consistent prev/next and head/tail), the free list holds exactly
-     * the invalid frames (no duplicates, no valid frames), and both
-     * partitions sum to the region's frame count. Violations carry
-     * (group, frame) context; returns true if clean. Allocation-free
-     * after the calling thread's first audit (scratch bitmaps persist).
+     * Audits data-side invariants for every (d-group, region): the free
+     * list holds exactly the invalid frames of the region (no
+     * duplicates, no valid frames, none of another region), and the
+     * frames in use plus the free frames sum to the region's frame
+     * count. Under LRU the frames in use are the chain's, and the chain
+     * must link exactly the valid frames of the region (acyclic, with
+     * consistent prev/next and head/tail). Violations carry (group,
+     * frame) context; returns true if clean. Allocation-free after the
+     * calling thread's first audit (scratch bitmaps persist).
      */
     bool audit(AuditSink &sink) const;
 
   private:
     struct RegionList
     {
-        std::uint32_t head = kNoFrame;  //!< MRU frame
-        std::uint32_t tail = kNoFrame;  //!< LRU frame
+        std::uint32_t head = kNoFrame;  //!< MRU frame (LRU only)
+        std::uint32_t tail = kNoFrame;  //!< LRU frame (LRU only)
         std::vector<std::uint32_t> free;
     };
 
@@ -311,10 +329,9 @@ class DataArray
     Rng rng;
 
     // Structure-of-arrays frame planes, indexed [group * nFrames + f];
-    // valid/linked are packed one bit per frame (ways fit a byte: the
-    // tag array caps associativity at 16).
-    std::vector<std::uint32_t> revSet;       //!< reverse ptr: tag set
-    std::vector<std::uint8_t> revWay;        //!< reverse ptr: tag way
+    // valid/linked are packed one bit per frame. The chain planes are
+    // empty unless DistanceRepl::LRU.
+    std::vector<std::uint32_t> revPlane;     //!< reverse ptr (set, way)
     std::vector<std::uint64_t> validWords;   //!< [idx / 64]
     std::vector<std::uint64_t> linkedWords;  //!< [idx / 64]
     std::vector<std::uint32_t> prevPlane;    //!< LRU chain prev

@@ -8,9 +8,12 @@
  * that enables distance associativity (Section 2.1, Figure 1).
  *
  * The tag, valid, dirty and recency state is the shared TagStore
- * (mem/tag_store.hh) — this class *is* one, plus two forward-pointer
- * planes laid out like its tag plane (byte-wide d-group, 32-bit
- * frame). The inherited mutators leave the forward pointers alone;
+ * (mem/tag_store.hh) — this class *is* one, plus one forward-pointer
+ * plane laid out like its tag plane: a 32-bit word per slot holding
+ * the d-group in its top 8 bits and the frame in its low kFrameBits,
+ * so a hit reads both from one word. The constructor fatal()s on a
+ * cache whose frame indices would not fit (more than kMaxFrames
+ * blocks). The inherited mutators leave the forward pointers alone;
  * fillEntry(), setForward() and setEntry() write them. Entries are
  * read and written through by-value Entry views (entry()/setEntry())
  * so the audit hooks and tests keep checking the same facts against
@@ -42,26 +45,35 @@ class TagArray : public TagStore
         std::uint32_t frame = 0;   //!< forward pointer: frame in group
     };
 
+    /** Forward-pointer word: (d-group << kFrameBits) | frame. */
+    static constexpr std::uint32_t kFrameBits = 24;
+    static constexpr std::uint32_t kMaxFrames = 1u << kFrameBits;
+    static constexpr std::uint32_t kMaxGroups = 1u << (32 - kFrameBits);
+
+    /** fatal()s if the cache holds more than kMaxFrames blocks (a
+     *  d-group's frame index would overflow its field). */
     TagArray(std::uint64_t capacity_bytes, std::uint32_t assoc,
              std::uint32_t block_bytes);
 
     /** Reads entry (set, way) as a value (range-checked). */
     Entry entry(std::uint32_t set, std::uint32_t way) const;
 
-    /** Overwrites every field of entry (set, way) (range-checked); an
-     *  invalid entry is stored clean. */
+    /** Overwrites every field of entry (set, way) (range-checked, and
+     *  the frame must fit its field); an invalid entry is stored
+     *  clean. */
     void setEntry(std::uint32_t set, std::uint32_t way, const Entry &e);
 
     std::uint8_t
     groupOf(std::uint32_t set, std::uint32_t way) const
     {
-        return groupPlane[slot(set, way)];
+        return static_cast<std::uint8_t>(forwardPlane[slot(set, way)] >>
+                                         kFrameBits);
     }
 
     std::uint32_t
     frameOf(std::uint32_t set, std::uint32_t way) const
     {
-        return framePlane[slot(set, way)];
+        return forwardPlane[slot(set, way)] & (kMaxFrames - 1);
     }
 
     /** Redirects the forward pointer of (set, way). */
@@ -69,8 +81,8 @@ class TagArray : public TagStore
     setForward(std::uint32_t set, std::uint32_t way,
                std::uint8_t group, std::uint32_t frame)
     {
-        groupPlane[slot(set, way)] = group;
-        framePlane[slot(set, way)] = frame;
+        forwardPlane[slot(set, way)] =
+            (std::uint32_t{group} << kFrameBits) | frame;
     }
 
     /** Fills (set, way): tag + forward pointer, valid, dirty as given. */
@@ -98,13 +110,12 @@ class TagArray : public TagStore
     std::size_t
     hotBytes() const
     {
-        return TagStore::hotBytes() + groupPlane.size() +
-               framePlane.size() * sizeof(std::uint32_t);
+        return TagStore::hotBytes() +
+               forwardPlane.size() * sizeof(std::uint32_t);
     }
 
   private:
-    std::vector<std::uint8_t> groupPlane;   //!< [slot]: forward d-group
-    std::vector<std::uint32_t> framePlane;  //!< [slot]: forward frame
+    std::vector<std::uint32_t> forwardPlane;  //!< [slot]: (group, frame)
 };
 
 } // namespace nurapid

@@ -179,17 +179,6 @@ energyOf(const Json &snap, const char *field)
     return snap.get("energy").get(field).asDouble();
 }
 
-/** Sum of the per-region data_nj array of one epoch. */
-double
-energyDataOf(const Json &snap)
-{
-    const Json &data = snap.get("energy").get("data_nj");
-    double sum = 0;
-    for (std::size_t r = 0; r < data.size(); ++r)
-        sum += data.at(r).asDouble();
-    return sum;
-}
-
 int
 reportMetrics(const std::string &path, std::size_t width)
 {

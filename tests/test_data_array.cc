@@ -2,12 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
+#include <string>
 
 #include "common/rng.hh"
 #include "nurapid/data_array.hh"
+#include "nurapid/tag_array.hh"
+#include "sim/audit/audit.hh"
 
 namespace nurapid {
+
+/** Names the policy in test names ("# GetParam() = lru"); outside the
+ *  anonymous namespace so argument-dependent lookup finds it. */
+static void
+PrintTo(DistanceRepl d, std::ostream *os)
+{
+    *os << distanceReplName(d);
+}
+
 namespace {
 
 TEST(DataArray, AllFramesStartFree)
@@ -206,6 +219,191 @@ TEST(DataArrayDeath, TreePlruRequiresPow2FramesPerRegion)
                  "power-of-two count >= 2 of frames per region, got 3");
     EXPECT_DEATH(DataArray(1, 4, 4, DistanceRepl::TreePLRU, 1),
                  "frames per region, got 1");
+}
+
+/** True if @p sink kept a violation of invariant @p inv. */
+bool
+reported(const CountingAuditSink &sink, const std::string &inv)
+{
+    for (const AuditViolation &v : sink.first()) {
+        if (v.invariant == inv)
+            return true;
+    }
+    return false;
+}
+
+/** Every policy: alloc/place/victim/remove/touch/swap churn over
+ *  two regions of four d-groups leaves the audit clean. */
+class DataArrayPolicyTest : public ::testing::TestWithParam<DistanceRepl>
+{
+};
+
+TEST_P(DataArrayPolicyTest, AuditCleanAfterChurn)
+{
+    constexpr std::uint32_t kGroups = 4;
+    constexpr std::uint32_t kFrames = 32;
+    DataArray d(kGroups, kFrames, 2, GetParam(), 41);
+    Rng rng(43, 0xda7a);
+    std::uint64_t live = 0;
+    for (int op = 0; op < 20000; ++op) {
+        const std::uint32_t g = rng.below(kGroups);
+        const std::uint32_t region = rng.below(d.numRegions());
+        const std::uint32_t first = region * (kFrames / d.numRegions());
+        switch (rng.below(4)) {
+          case 0:  // fill, evicting a distance victim when full
+            if (!d.hasFree(g, region)) {
+                d.remove(g, d.victimFrame(g, region));
+                --live;
+            }
+            d.place(g, d.allocFrame(g, region), rng.below(1024),
+                    rng.below(DataArray::kMaxWays));
+            ++live;
+            break;
+          case 1:  // hit
+          case 2: {  // promotion swap between two d-groups
+            const std::uint32_t f = first + rng.below(kFrames / 2);
+            const std::uint32_t h = rng.below(kGroups);
+            const std::uint32_t hf = first + rng.below(kFrames / 2);
+            if (!d.frame(g, f).valid)
+                break;
+            if (rng.below(2) == 0 || !d.frame(h, hf).valid ||
+                (h == g && hf == f)) {
+                d.touch(g, f);
+            } else {
+                const DataArray::Frame a = d.frame(g, f);
+                const DataArray::Frame b = d.frame(h, hf);
+                d.swapFrames(g, f, h, hf);
+                EXPECT_EQ(d.frame(g, f).set, b.set);
+                EXPECT_EQ(d.frame(h, hf).way, a.way);
+            }
+            break;
+          }
+          case 3: {  // eviction
+            const std::uint32_t f = first + rng.below(kFrames / 2);
+            if (d.frame(g, f).valid) {
+                d.remove(g, f);
+                --live;
+            }
+            break;
+          }
+        }
+    }
+    EXPECT_EQ(d.validCount(), live);
+    CountingAuditSink sink;
+    EXPECT_TRUE(d.audit(sink)) << sink.summary();
+}
+
+TEST_P(DataArrayPolicyTest, AuditFlagsFrameFlippedValidBehindFreeList)
+{
+    DataArray d(2, 8, 1, GetParam(), 5);
+    const std::uint32_t placed = d.allocFrame(0, 0);
+    d.place(0, placed, 1, 1);
+    // A free frame flipped valid without allocating: the free list and
+    // the valid partition now disagree.
+    const std::uint32_t f = (placed + 1) % 8;
+    DataArray::Frame fr = d.frame(0, f);
+    ASSERT_FALSE(fr.valid);
+    fr.valid = true;
+    d.setFrame(0, f, fr);
+    CountingAuditSink sink(/*keep=*/16);
+    EXPECT_FALSE(d.audit(sink));
+    EXPECT_TRUE(reported(sink, "free-valid-frame")) << sink.summary();
+}
+
+TEST_P(DataArrayPolicyTest, AuditFlagsPlacedFrameFlippedInvalid)
+{
+    DataArray d(2, 8, 1, GetParam(), 5);
+    const std::uint32_t f = d.allocFrame(0, 0);
+    d.place(0, f, 0, 0);
+    DataArray::Frame fr = d.frame(0, f);
+    fr.valid = false;
+    d.setFrame(0, f, fr);
+    CountingAuditSink sink(/*keep=*/16);
+    EXPECT_FALSE(d.audit(sink));
+    EXPECT_TRUE(reported(sink, "invalid-not-free")) << sink.summary();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, DataArrayPolicyTest,
+    ::testing::Values(DistanceRepl::Random, DistanceRepl::LRU,
+                      DistanceRepl::TreePLRU),
+    [](const ::testing::TestParamInfo<DistanceRepl> &info) {
+        return info.param == DistanceRepl::Random ? std::string("Random")
+               : info.param == DistanceRepl::LRU  ? std::string("LRU")
+                                                  : std::string("TreePLRU");
+    });
+
+TEST(DataArray, ChainPlanesOnlyUnderLru)
+{
+    // 4 d-groups x 64 frames = 256 frames, 4 bitmap words.
+    const DataArray random(4, 64, 1, DistanceRepl::Random, 1);
+    const DataArray lru(4, 64, 1, DistanceRepl::LRU, 1);
+    const DataArray tree(4, 64, 1, DistanceRepl::TreePLRU, 1);
+    // Reverse pointers + frame->region table (4 B each) + valid bits.
+    EXPECT_EQ(random.hotBytes(), (256u + 64u) * 4 + 4 * 8);
+    // LRU adds the prev/next planes and the linked bitmap ...
+    EXPECT_EQ(lru.hotBytes() - random.hotBytes(), 2u * 256 * 4 + 4 * 8);
+    // ... tree-PLRU only its node bytes.
+    EXPECT_EQ(tree.hotBytes() - random.hotBytes(), 4u * 63);
+}
+
+TEST(DataArray, ReversePointerRoundTripsAtFieldLimits)
+{
+    const std::uint32_t set = DataArray::kMaxSets - 1;
+    const std::uint16_t way = DataArray::kMaxWays - 1;
+    DataArray d(2, 4, 1, DistanceRepl::Random, 1);
+    const std::uint32_t f = d.allocFrame(1, 0);
+    d.place(1, f, set, way);
+    EXPECT_EQ(d.frame(1, f).set, set);
+    EXPECT_EQ(d.frame(1, f).way, way);
+    EXPECT_EQ(d.revSetOf(1, f), set);
+    EXPECT_EQ(d.revWayOf(1, f), way);
+    // A raw write of the limits reads back too, and a swap carries them.
+    DataArray::Frame fr;
+    fr.set = set;
+    fr.way = 0;
+    fr.valid = true;
+    d.setFrame(0, 2, fr);
+    EXPECT_EQ(d.frame(0, 2).set, set);
+    EXPECT_EQ(d.frame(0, 2).way, 0u);
+    EXPECT_TRUE(d.frame(0, 2).valid);
+    fr.set = 0;
+    fr.way = way;
+    d.setFrame(0, 3, fr);
+    EXPECT_EQ(d.frame(0, 3).set, 0u);
+    EXPECT_EQ(d.frame(0, 3).way, way);
+    d.swapFrames(0, 3, 1, f);
+    EXPECT_EQ(d.frame(0, 3).set, set);
+    EXPECT_EQ(d.frame(0, 3).way, way);
+    EXPECT_EQ(d.frame(1, f).set, 0u);
+}
+
+TEST(DataArrayDeath, ReversePointerPastFieldRejected)
+{
+    DataArray d(1, 4, 1, DistanceRepl::Random, 1);
+    DataArray::Frame fr;
+    fr.way = DataArray::kMaxWays;
+    EXPECT_DEATH(d.setFrame(0, 0, fr), "reverse pointer .* does not fit");
+    fr.way = 0;
+    fr.set = DataArray::kMaxSets;
+    EXPECT_DEATH(d.setFrame(0, 0, fr), "reverse pointer .* does not fit");
+    EXPECT_DEATH(d.place(0, d.allocFrame(0, 0), 0, DataArray::kMaxWays),
+                 "reverse pointer .* does not fit");
+}
+
+TEST(DataArrayDeath, GeometryPastPointerFieldsIsFatal)
+{
+    // Each check runs before any frame plane is allocated.
+    EXPECT_DEATH(DataArray(TagArray::kMaxGroups + 1, 4, 1,
+                           DistanceRepl::Random, 1),
+                 "does not fit the pointer fields");
+    EXPECT_DEATH(DataArray(1, TagArray::kMaxFrames + 1, 1,
+                           DistanceRepl::Random, 1),
+                 "does not fit the pointer fields");
+    // 32 x 2^23 frames still fit a set index; 64 x 2^23 do not.
+    EXPECT_DEATH(DataArray(64, TagArray::kMaxFrames / 2, 1,
+                           DistanceRepl::Random, 1),
+                 "does not fit the pointer fields");
 }
 
 } // namespace

@@ -114,5 +114,48 @@ TEST(TagArrayDeath, MoreThanSixteenWaysIsFatal)
                  "rank-plane range 1\\.\\.16");
 }
 
+TEST(TagArray, ForwardPointerRoundTripsAtFieldLimits)
+{
+    TagArray t(64 * 1024, 16, 128);
+    const std::uint8_t group = TagArray::kMaxGroups - 1;
+    const std::uint32_t frame = TagArray::kMaxFrames - 1;
+    TagArray::Entry e = t.entry(5, 15);
+    e.valid = true;
+    e.tag = 0x3ff;
+    e.group = group;
+    e.frame = frame;
+    t.setEntry(5, 15, e);
+    EXPECT_EQ(t.entry(5, 15).group, group);
+    EXPECT_EQ(t.entry(5, 15).frame, frame);
+    EXPECT_EQ(t.entry(5, 15).tag, 0x3ffu);
+    EXPECT_EQ(t.groupOf(5, 15), group);
+    EXPECT_EQ(t.frameOf(5, 15), frame);
+    // The neighbour's pointer is untouched by the full-width write.
+    EXPECT_EQ(t.groupOf(5, 14), 0u);
+    EXPECT_EQ(t.frameOf(5, 14), 0u);
+    t.setForward(5, 14, 0, frame);
+    t.setForward(5, 15, group, 0);
+    EXPECT_EQ(t.groupOf(5, 14), 0u);
+    EXPECT_EQ(t.frameOf(5, 14), frame);
+    EXPECT_EQ(t.groupOf(5, 15), group);
+    EXPECT_EQ(t.frameOf(5, 15), 0u);
+}
+
+TEST(TagArrayDeath, ForwardFramePastFieldRejected)
+{
+    TagArray t(64 * 1024, 4, 128);
+    TagArray::Entry e = t.entry(0, 0);
+    e.frame = TagArray::kMaxFrames;
+    EXPECT_DEATH(t.setEntry(0, 0, e), "forward frame 16777216 does not fit");
+}
+
+TEST(TagArrayDeath, GeometryPastFrameFieldIsFatal)
+{
+    // 2^25 blocks: a single d-group's frame index would need 25 bits.
+    // The check runs before the tag planes are allocated.
+    EXPECT_DEATH(TagArray(std::uint64_t{64} << 25, 16, 64),
+                 "33554432 blocks exceed the forward pointer");
+}
+
 } // namespace
 } // namespace nurapid
