@@ -6,11 +6,13 @@
 #
 #   release  RelWithDebInfo, audit hooks compiled in. Also runs the
 #            tier-1 suite again with the live per-record loop
-#            (NURAPID_DISTILL=0), the observability and engine-trace
-#            smokes, and a short cold sweep of all 17 bench binaries
-#            twice, distilled and live: the two sweeps must leave
-#            bit-identical 267-entry run caches, and the distilled
-#            sweep's [engine] footers must cover >= 95% of its wall.
+#            (NURAPID_DISTILL=0), the observability smoke (whose
+#            distilled and live exports must be byte-equal), the
+#            engine-trace smoke, and a short cold sweep of all 17
+#            bench binaries twice, distilled and live: the two sweeps
+#            must leave bit-identical 267-entry run caches, and the
+#            distilled sweep's [engine] footers must cover >= 95% of
+#            its wall.
 #            Last, perfbench's self-test and a 1 s seed-0 run of each
 #            benchmark workload, whose result digests must match
 #            perfbench/reference_digests.json
@@ -127,6 +129,22 @@ for config in $configs; do
         grep -q 'energy breakdown' "$obs_dir/report.log" || {
             echo "obs smoke: report printed no energy breakdown" >&2
             exit 1; }
+        # The run above replays the distilled stream; the live
+        # per-record loop must write byte-identical exports.
+        mkdir -p "$obs_dir/live"
+        NURAPID_DISTILL=0 NURAPID_SIM_SCALE=0.05 \
+            "$dir/src/tools/nurapid_sim" \
+            --org nurapid --benchmark mcf --obs-interval 8192 \
+            --trace-out "$obs_dir/live/events.jsonl" \
+            --metrics-out "$obs_dir/live/metrics.jsonl" \
+            --perfetto-out "$obs_dir/live/trace.json" \
+            > "$obs_dir/live/sim.log"
+        for f in events.jsonl metrics.jsonl trace.json; do
+            cmp "$obs_dir/$f" "$obs_dir/live/$f" || {
+                echo "obs smoke: $f differs between distilled and" \
+                    "live replay" >&2
+                exit 1; }
+        done
 
         # Observability must not perturb the simulation and observed
         # runs must never seed the run cache: a fresh-cache suite, an

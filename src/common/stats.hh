@@ -30,36 +30,6 @@ class Counter
     std::uint64_t count = 0;
 };
 
-/** Mean/min/max/total tracker for per-event sample values. */
-class Average
-{
-  public:
-    void
-    sample(double v)
-    {
-        total += v;
-        ++n;
-        if (v < minv || n == 1)
-            minv = v;
-        if (v > maxv || n == 1)
-            maxv = v;
-    }
-
-    void reset() { total = 0; n = 0; minv = 0; maxv = 0; }
-
-    double mean() const { return n ? total / static_cast<double>(n) : 0.0; }
-    double sum() const { return total; }
-    std::uint64_t samples() const { return n; }
-    double min() const { return minv; }
-    double max() const { return maxv; }
-
-  private:
-    double total = 0;
-    std::uint64_t n = 0;
-    double minv = 0;
-    double maxv = 0;
-};
-
 /**
  * A named, ordered collection of statistics.
  *

@@ -38,6 +38,19 @@ OooCore::run(TraceSource &trace, std::uint64_t records)
     runTyped(lower, trace, records);
 }
 
+void
+OooCore::replayInertObserved(const std::uint16_t *g,
+                             const std::uint16_t *end)
+{
+    while (g != end) {
+        const std::uint64_t k = std::min<std::uint64_t>(
+            static_cast<std::uint64_t>(end - g), obsRec->untilSnapshot());
+        replayInert(g, g + k);
+        obsRec->tick(k);
+        g += k;
+    }
+}
+
 std::uint64_t
 OooCore::cycles() const
 {

@@ -128,12 +128,14 @@ class OooCore
     void resetStats();
 
     /**
-     * Attaches the flight-recorder sink (for MSHR-stall events) and
-     * the interval recorder (ticked once per retired reference in
-     * runTyped and runDistilled alike; epoch boundaries land on the
-     * same record index in both paths). Either may be null.
+     * Attaches the event sink (for MSHR-stall events) and the
+     * interval recorder (ticked once per retired reference in
+     * runTyped; in runDistilled once per event record and once per
+     * run of inert records, split at epoch boundaries — so epoch
+     * boundaries land on the same record index in both paths). Either
+     * may be null.
      *
-     * Because the tick is per retired reference, each epoch snapshot
+     * Because epochs end on a retired reference, each epoch snapshot
      * samples the organization's cumulative EnergyBreakdown at a
      * reference boundary — never mid-access — so the per-epoch energy
      * timeline telescopes exactly to the end-of-run accumulators on
@@ -180,16 +182,16 @@ class OooCore
     }
 
     /**
-     * The inert loop of runDistilled over gap words [@p g, @p end) with
-     * no interval recorder attached. inertClock steps the dispatch
-     * clock and the instruction count bit-identically to the live
-     * loop's two FP additions per record (in integers within a binade;
-     * see cpu/inert_clock.hh) and stops at the records where
-     * enforceWindow() can act: where the oldest pending load has
-     * completed, (Cycle)clock >= completion, or is a full RUU behind,
-     * insts >= inst + ruu_entries. Both are hoisted into scalar
-     * limits — for an integer C < 2^53, (Cycle)c >= C exactly when
-     * c >= (double)C — so enforceWindow() runs only where one trips.
+     * The inert loop of runDistilled over gap words [@p g, @p end).
+     * inertClock steps the dispatch clock and the instruction count
+     * bit-identically to the live loop's two FP additions per record
+     * (in integers within a binade; see cpu/inert_clock.hh) and stops
+     * at the records where enforceWindow() can act: where the oldest
+     * pending load has completed, (Cycle)clock >= completion, or is a
+     * full RUU behind, insts >= inst + ruu_entries. Both are hoisted
+     * into scalar limits — for an integer C < 2^53, (Cycle)c >= C
+     * exactly when c >= (double)C — so enforceWindow() runs only where
+     * one trips.
      */
     void
     replayInert(const std::uint16_t *g, const std::uint16_t *end)
@@ -222,6 +224,16 @@ class OooCore
         cycleF = c;
         insts = n_insts;
     }
+
+    /**
+     * replayInert with the interval recorder attached: the run is
+     * split at each epoch boundary inside it and ticked per piece.
+     * Exact, because a snapshot reads only the clock, lastCompletion,
+     * the instruction count and the organization's books, and
+     * replayInert leaves them where the live loop does at any record.
+     */
+    void replayInertObserved(const std::uint16_t *g,
+                             const std::uint16_t *end);
 
     template <class LowerT>
     Cycles missLatency(LowerT &lower_mem, Addr addr, AccessType type,
@@ -421,9 +433,6 @@ OooCore::runDistilled(LowerT &lower_mem, DistilledTrace::Cursor &cur,
     using DT = DistilledTrace;
     const std::uint64_t stop = cur.pos + records;
     const std::uint16_t *const gaps = cur.gaps;
-    // Indexed by gap-word bit 15: adding 0.0 leaves the (non-negative)
-    // clock bit-identical, so the recorder's loop needs no branch for it.
-    const double pen[2] = {0.0, static_cast<double>(p.mispredict_penalty)};
 
     while (cur.pos < stop) {
         panic_if(cur.ev == cur.ev_end,
@@ -440,19 +449,10 @@ OooCore::runDistilled(LowerT &lower_mem, DistilledTrace::Cursor &cur,
         // clock (bit-identical to the live loop's per-record FP
         // additions), the instruction count and the window advance;
         // the L1 tag/LRU walk and predictor tables fold away.
-        if (obsRec) [[unlikely]] {
-            for (std::uint64_t k = cur.pos; k < erec; ++k) {
-                const std::uint16_t g = gaps[k];
-                const std::uint32_t n = (g & DT::kGapInstMask) + 1u;
-                insts += n;
-                cycleF += n * dispatchCpi;
-                cycleF += pen[g >> 15];
-                enforceWindow();
-                obsRec->tick();
-            }
-        } else {
+        if (obsRec) [[unlikely]]
+            replayInertObserved(gaps + cur.pos, gaps + erec);
+        else
             replayInert(gaps + cur.pos, gaps + erec);
-        }
         const auto inert = static_cast<std::uint32_t>(erec - cur.pos);
         cur.pos = erec + 1;
 

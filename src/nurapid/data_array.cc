@@ -41,13 +41,10 @@ DataArray::DataArray(std::uint32_t num_groups,
         prevPlane.assign(total, kNoFrame);
         nextPlane.assign(total, kNoFrame);
     }
-    frameRegion.resize(nFrames);
-    for (std::uint32_t f = 0; f < nFrames; ++f)
-        frameRegion[f] = f / framesPerRegion;
     // Pre-populate free lists: every frame starts free.
     for (std::uint32_t g = 0; g < nGroups; ++g) {
         for (std::uint32_t f = 0; f < nFrames; ++f)
-            region(g, frameRegion[f]).free.push_back(f);
+            region(g, regionOfFrame(f)).free.push_back(f);
     }
     if (replPolicy == DistanceRepl::TreePLRU) {
         fatal_if(framesPerRegion < 2 || !isPowerOf2(framesPerRegion),

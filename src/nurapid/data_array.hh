@@ -24,10 +24,12 @@
  * DistanceRepl::TreePLRU; under Random a hit writes nothing here.
  *
  * Section 2.4.3's pointer-restriction option is modeled by statically
- * partitioning each d-group's frames into *regions*; a block may only
- * occupy frames of the region its address hashes to, which shortens the
- * forward/reverse pointers. The unrestricted cache is the special case
- * of a single region.
+ * partitioning each d-group's frames into *regions*, contiguous runs of
+ * framesPerRegion frames (so frame f lies in region f / framesPerRegion,
+ * computed rather than stored); a block may only occupy frames of the
+ * region its address hashes to, which shortens the forward/reverse
+ * pointers. The unrestricted cache is the special case of a single
+ * region.
  */
 
 #ifndef NURAPID_NURAPID_DATA_ARRAY_HH
@@ -176,11 +178,10 @@ class DataArray
     std::uint32_t framesPerGroup() const { return nFrames; }
     std::uint32_t numRegions() const { return nRegions; }
 
-    /** Region of a frame index (table lookup — frames are touched too
-     *  often for a divide by framesPerRegion here). */
+    /** Region of a frame index: regions are contiguous frame ranges. */
     std::uint32_t regionOfFrame(std::uint32_t f) const
     {
-        return frameRegion[f];
+        return f / framesPerRegion;
     }
 
     /** Bytes of per-reference hot state (pointer planes, bitmaps and
@@ -188,8 +189,7 @@ class DataArray
     std::size_t
     hotBytes() const
     {
-        return (revPlane.size() + prevPlane.size() + nextPlane.size() +
-                frameRegion.size()) *
+        return (revPlane.size() + prevPlane.size() + nextPlane.size()) *
                    sizeof(std::uint32_t) +
                (validWords.size() + linkedWords.size()) *
                    sizeof(std::uint64_t) +
@@ -337,7 +337,6 @@ class DataArray
     std::vector<std::uint32_t> prevPlane;    //!< LRU chain prev
     std::vector<std::uint32_t> nextPlane;    //!< LRU chain next
 
-    std::vector<std::uint32_t> frameRegion;  //!< frame -> region index
     std::vector<RegionList> lists;  //!< [group * nRegions + region]
     /** Tree-PLRU node bits, framesPerRegion - 1 per (group, region);
      *  empty unless DistanceRepl::TreePLRU. */

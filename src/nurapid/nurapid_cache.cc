@@ -7,6 +7,28 @@
 
 namespace nurapid {
 
+namespace {
+
+/** Regions per d-group under @p p's frame restriction; fatal()s unless
+ *  the restriction divides the d-group's frames. Runs in the member
+ *  initializer so a bad restriction is named before DataArray checks
+ *  the region count it implies. */
+std::uint32_t
+regionsPerGroup(const NuRapidCache::Params &p)
+{
+    const std::uint64_t frames =
+        p.capacity_bytes / p.num_dgroups / p.block_bytes;
+    if (p.frame_restriction == 0)
+        return 1;
+    fatal_if(frames % p.frame_restriction != 0,
+             "frame restriction %u does not divide the d-group frame "
+             "count (%llu)", p.frame_restriction,
+             static_cast<unsigned long long>(frames));
+    return static_cast<std::uint32_t>(frames / p.frame_restriction);
+}
+
+} // namespace
+
 NuRapidCache::NuRapidCache(const SramMacroModel &model, const Params &params)
     : Organization(params.name, params.num_dgroups, params.memory),
       p(params),
@@ -16,19 +38,8 @@ NuRapidCache::NuRapidCache(const SramMacroModel &model, const Params &params)
       dataArray(p.num_dgroups,
                 static_cast<std::uint32_t>(
                     p.capacity_bytes / p.num_dgroups / p.block_bytes),
-                p.frame_restriction == 0
-                    ? 1
-                    : static_cast<std::uint32_t>(
-                          p.capacity_bytes / p.num_dgroups / p.block_bytes /
-                          p.frame_restriction),
-                p.distance_repl, p.seed)
+                regionsPerGroup(p), p.distance_repl, p.seed)
 {
-    fatal_if(p.frame_restriction != 0 &&
-                 (p.capacity_bytes / p.num_dgroups / p.block_bytes) %
-                         p.frame_restriction != 0,
-             "frame restriction %u does not divide the d-group frame "
-             "count", p.frame_restriction);
-
     statGroup.addCounter("demand_accesses", cnt.demandAccesses);
     statGroup.addCounter("writeback_accesses", cnt.writebackAccesses);
     statGroup.addCounter("hits", cnt.hits);

@@ -100,7 +100,6 @@ writeEventsJsonl(const std::string &path, const ObsExportMeta &meta,
     std::vector<Json> lines;
     Json header = metaHeader("nurapid-events", meta);
     header.set("recorded", sink.recorded());
-    header.set("dropped", sink.dropped());
     lines.push_back(std::move(header));
     for (const ObsEvent &e : sink.events())
         lines.push_back(obsEventToJson(e));

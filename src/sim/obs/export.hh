@@ -6,7 +6,7 @@
  * File formats (all plain text, one JSON value per line for JSONL):
  *
  *  events JSONL   line 1: {"meta":"nurapid-events", workload, org,
- *                 recorded, dropped}; then one line per event with
+ *                 recorded}; then one line per event with
  *                 cycle, kind, addr, latency, from/to region, dirty.
  *
  *  metrics JSONL  line 1: {"meta":"nurapid-metrics", workload, org,

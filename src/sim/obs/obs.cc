@@ -1,8 +1,5 @@
 #include "sim/obs/obs.hh"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "common/logging.hh"
 
 namespace nurapid {
@@ -13,22 +10,6 @@ namespace {
  *  memory latencies clamp into the last bucket, which still orders
  *  percentiles correctly. */
 constexpr std::size_t kLatencyBuckets = 512;
-
-std::uint64_t
-envUint(const char *name, std::uint64_t fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(v, &end, 10);
-    // strtoull negates "-1" into 2^64-1 instead of failing.
-    if (end == v || *end != '\0' || std::strchr(v, '-')) {
-        warnOnce("ignoring unparseable %s='%s'", name, v);
-        return fallback;
-    }
-    return parsed;
-}
 
 } // namespace
 
@@ -48,40 +29,9 @@ obsEventKindName(ObsEventKind kind)
     return "unknown";
 }
 
-EventSink::EventSink(bool keep_events, std::uint64_t ring_cap)
-    : keepEvents(keep_events), cap(ring_cap)
+EventSink::EventSink(bool keep_events) : keepEvents(keep_events)
 {
     epochLatencyHist.resize(kLatencyBuckets);
-    // A small head start; push() grows the ring up to cap.
-    if (keepEvents)
-        buffer.reserve(cap && cap < 4096 ? cap : 4096);
-}
-
-void
-EventSink::push(const ObsEvent &e)
-{
-    ++recordedCount;
-    if (cap == 0 || buffer.size() < cap) {
-        buffer.push_back(e);
-        return;
-    }
-    // Ring full: flight-recorder semantics, overwrite the oldest.
-    buffer[head] = e;
-    head = (head + 1) % cap;
-    ++droppedCount;
-}
-
-std::vector<ObsEvent>
-EventSink::events() const
-{
-    std::vector<ObsEvent> out;
-    out.reserve(buffer.size());
-    // head is the oldest slot once the ring has wrapped.
-    for (std::uint64_t i = head; i < buffer.size(); ++i)
-        out.push_back(buffer[i]);
-    for (std::uint64_t i = 0; i < head; ++i)
-        out.push_back(buffer[i]);
-    return out;
 }
 
 EventSink::EpochAggregates
@@ -90,7 +40,9 @@ EventSink::takeEpochAggregates()
     EpochAggregates agg;
     agg.accesses = epochAccessCount;
     agg.hits = epochHitCount;
-    agg.avg_latency = epochLatency.mean();
+    agg.avg_latency = epochAccessCount
+        ? epochLatencySum / static_cast<double>(epochAccessCount)
+        : 0.0;
     if (epochLatencyHist.total() > 0) {
         agg.lat_p50 = static_cast<std::uint32_t>(
             epochLatencyHist.percentileBucket(0.50));
@@ -99,7 +51,7 @@ EventSink::takeEpochAggregates()
     }
     epochAccessCount = 0;
     epochHitCount = 0;
-    epochLatency.reset();
+    epochLatencySum = 0;
     epochLatencyHist.reset();
     return agg;
 }
@@ -184,12 +136,6 @@ std::uint64_t
 ObsConfig::resolvedInterval() const
 {
     return interval ? interval : kDefaultInterval;
-}
-
-std::uint64_t
-ObsConfig::resolvedEventCap() const
-{
-    return envUint("NURAPID_OBS_EVENT_CAP", 0);
 }
 
 } // namespace nurapid

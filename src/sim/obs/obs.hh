@@ -8,7 +8,7 @@
  * that distribution over time — but end-of-run counters collapse the
  * whole run into one bar. This layer records *when* things happen:
  *
- *  - EventSink: a per-run, thread-confined recorder the five
+ *  - EventSink: a per-run, thread-confined, append-only log the five
  *    organizations feed with typed events (hit/miss with d-group or
  *    bank-row distance, promotion, demotion, swap, eviction,
  *    writeback, MSHR stall). Hooks are always compiled and cost one
@@ -23,8 +23,10 @@
  *    organization counter plus derived series (per-region occupancy
  *    and hit share, average/percentile access latency, demotion
  *    rate). Epochs are reference-count windows (default 64K refs,
- *    --obs-interval); the core ticks the recorder once per
- *    retired reference in runTyped and runDistilled alike. Snapshots
+ *    --obs-interval). runTyped ticks the recorder once per retired
+ *    reference; runDistilled ticks each run of inert records as one
+ *    tick(n), split wherever an epoch boundary falls inside it, so
+ *    boundaries land on the same record in both paths. Snapshots
  *    are restricted to values that are per-record exact in both paths
  *    (cycles, instructions, organization counters, region hits,
  *    occupancy), so the timeline too is bit-identical live vs
@@ -52,6 +54,7 @@
 #include <vector>
 
 #include "common/histogram.hh"
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "energy/energy_breakdown.hh"
@@ -89,9 +92,9 @@ struct ObsEvent
 };
 
 /**
- * Per-run event recorder. Owned by one System (hence one worker
- * thread); organizations hold a raw pointer that is null unless
- * observability was enabled for the run.
+ * Per-run event recorder: an append-only log. Owned by one System
+ * (hence one worker thread); organizations hold a raw pointer that is
+ * null unless observability was enabled for the run.
  *
  * Always maintains cheap epoch-local latency aggregates (read and
  * reset by the IntervalRecorder at each epoch boundary) so the
@@ -100,21 +103,18 @@ struct ObsEvent
 class EventSink
 {
   public:
-    /** @param keep_events buffer events (vs aggregates only);
-     *  @param cap ring capacity, 0 = unbounded. When the ring is full
-     *  the oldest events are overwritten (flight-recorder semantics)
-     *  and dropped() counts the overwrites. */
-    explicit EventSink(bool keep_events = true, std::uint64_t cap = 0);
+    /** @param keep_events buffer events (vs aggregates only). */
+    explicit EventSink(bool keep_events = true);
 
     void
     record(const ObsEvent &e)
     {
         if (keepEvents)
-            push(e);
+            log.push_back(e);
         if (e.kind == ObsEventKind::Hit || e.kind == ObsEventKind::Miss) {
             ++epochAccessCount;
             epochHitCount += e.kind == ObsEventKind::Hit;
-            epochLatency.sample(e.latency);
+            epochLatencySum += e.latency;
             epochLatencyHist.sample(e.latency);
         }
     }
@@ -173,11 +173,10 @@ class EventSink
                 ObsEvent::kNoRegion, ObsEvent::kNoRegion, 0});
     }
 
-    /** Recorded events in order (oldest first, even after wrap). */
-    std::vector<ObsEvent> events() const;
+    /** Recorded events, oldest first. */
+    const std::vector<ObsEvent> &events() const { return log; }
 
-    std::uint64_t recorded() const { return recordedCount; }
-    std::uint64_t dropped() const { return droppedCount; }
+    std::uint64_t recorded() const { return log.size(); }
     bool buffering() const { return keepEvents; }
 
     /** Epoch-local aggregates, read+reset at each epoch boundary. */
@@ -192,18 +191,12 @@ class EventSink
     EpochAggregates takeEpochAggregates();
 
   private:
-    void push(const ObsEvent &e);
-
     bool keepEvents;
-    std::uint64_t cap;            //!< 0 = unbounded
-    std::uint64_t recordedCount = 0;
-    std::uint64_t droppedCount = 0;
-    std::uint64_t head = 0;       //!< next overwrite slot once wrapped
-    std::vector<ObsEvent> buffer;
+    std::vector<ObsEvent> log;
 
     std::uint64_t epochAccessCount = 0;
     std::uint64_t epochHitCount = 0;
-    Average epochLatency;
+    double epochLatencySum = 0;
     Histogram epochLatencyHist;
 };
 
@@ -271,9 +264,10 @@ struct IntervalSources
 };
 
 /**
- * Epoch clock: the core ticks it once per retired reference; every
- * @p interval ticks it snapshots the sources. begin() records the
- * epoch-0 baseline, finish() the final (possibly partial) epoch.
+ * Epoch clock: the core ticks it once per retired reference (or once
+ * per run of inert references, never across a boundary); every
+ * @p interval references it snapshots the sources. begin() records
+ * the epoch-0 baseline, finish() the final (possibly partial) epoch.
  */
 class IntervalRecorder
 {
@@ -284,17 +278,27 @@ class IntervalRecorder
     /** Snapshot the baseline; call at measurement start. */
     void begin();
 
-    /** One retired reference. Inline countdown: the common case is a
-     *  decrement and a not-taken branch. */
+    /** @p n retired references, snapshotting if they reach the epoch
+     *  boundary; panics if they would cross it (see untilSnapshot()).
+     *  Inline countdown: the common case is a subtract and a
+     *  not-taken branch. */
     void
-    tick()
+    tick(std::uint64_t n = 1)
     {
-        ++refCount;
-        if (--countdown == 0) [[unlikely]] {
+        panic_if(n > countdown, "%llu ticks cross the epoch boundary "
+                 "%llu references ahead",
+                 static_cast<unsigned long long>(n),
+                 static_cast<unsigned long long>(countdown));
+        refCount += n;
+        countdown -= n;
+        if (countdown == 0) [[unlikely]] {
             countdown = epochInterval;
             takeSnapshot();
         }
     }
+
+    /** References left until the next snapshot (>= 1). */
+    std::uint64_t untilSnapshot() const { return countdown; }
 
     /** Snapshot the final partial epoch (no-op when the run ended
      *  exactly on a boundary or nothing ticked since). Idempotent. */
@@ -344,9 +348,6 @@ struct ObsConfig
 
     /** interval, else kDefaultInterval. */
     std::uint64_t resolvedInterval() const;
-
-    /** NURAPID_OBS_EVENT_CAP, else 0 (unbounded). */
-    std::uint64_t resolvedEventCap() const;
 };
 
 } // namespace nurapid

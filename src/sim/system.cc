@@ -138,8 +138,7 @@ System::enableObservability(const ObsConfig &cfg)
         return;
     // The sink exists whenever anything is observed: even a
     // metrics-only run needs its epoch-local latency aggregates.
-    obsSink = std::make_unique<EventSink>(cfg.record_events,
-                                          cfg.resolvedEventCap());
+    obsSink = std::make_unique<EventSink>(cfg.record_events);
     if (cfg.record_metrics) {
         IntervalSources src;
         src.org_counters = &lowerMem->stats();

@@ -365,15 +365,12 @@ reportEvents(const std::string &path)
         }
     }
 
-    std::printf("%s on %s: %zu events in file (%llu recorded, "
-                "%llu overwritten)\n",
+    std::printf("%s on %s: %zu events in file (%llu recorded)\n",
                 doc.meta.get("workload").asString().c_str(),
                 doc.meta.get("organization").asString().c_str(),
                 doc.epochs.size(),
                 static_cast<unsigned long long>(
-                    doc.meta.get("recorded").asUint()),
-                static_cast<unsigned long long>(
-                    doc.meta.get("dropped").asUint()));
+                    doc.meta.get("recorded").asUint()));
 
     TextTable t;
     t.header({"kind", "count", "share"});

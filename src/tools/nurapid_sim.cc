@@ -101,8 +101,6 @@ usage(const char *argv0)
         "  NURAPID_AUDIT           1 enables the invariant-audit layer\n"
         "  NURAPID_AUDIT_INTERVAL  accesses between audit sweeps\n"
         "                          (default 4096)\n"
-        "  NURAPID_OBS_EVENT_CAP   flight-recorder ring capacity;\n"
-        "                          0/unset = unbounded\n"
         "  NURAPID_ENGINE_TRACE    engine span trace output path\n"
         "                          (appended, so one sweep's processes\n"
         "                          share a single whole-sweep trace)\n",
@@ -507,15 +505,8 @@ main(int argc, char **argv)
     std::printf("  miss:     %5.1f%%\n", 100.0 * m.miss_frac);
 
     if (const EventSink *sink = sys.observabilitySink()) {
-        std::printf("\nobservability: %llu events recorded",
+        std::printf("\nobservability: %llu events recorded\n",
                     static_cast<unsigned long long>(sink->recorded()));
-        if (sink->dropped()) {
-            std::printf(" (%llu overwritten by the flight-recorder "
-                        "ring)",
-                        static_cast<unsigned long long>(
-                            sink->dropped()));
-        }
-        std::printf("\n");
         if (!trace_out.empty())
             std::printf("  events:   %s\n", trace_out.c_str());
         if (!metrics_out.empty())

@@ -339,8 +339,8 @@ TEST(DataArray, ChainPlanesOnlyUnderLru)
     const DataArray random(4, 64, 1, DistanceRepl::Random, 1);
     const DataArray lru(4, 64, 1, DistanceRepl::LRU, 1);
     const DataArray tree(4, 64, 1, DistanceRepl::TreePLRU, 1);
-    // Reverse pointers + frame->region table (4 B each) + valid bits.
-    EXPECT_EQ(random.hotBytes(), (256u + 64u) * 4 + 4 * 8);
+    // Reverse pointers (4 B each) + valid bits.
+    EXPECT_EQ(random.hotBytes(), 256u * 4 + 4 * 8);
     // LRU adds the prev/next planes and the linked bitmap ...
     EXPECT_EQ(lru.hotBytes() - random.hotBytes(), 2u * 256 * 4 + 4 * 8);
     // ... tree-PLRU only its node bytes.

@@ -423,9 +423,14 @@ TEST(NuRapid, RestrictionCanEvictButUnrestrictedCannotOverflow)
 
 TEST(NuRapidDeath, BadRestrictionIsFatal)
 {
-    auto p = smallParams();
-    p.frame_restriction = 100;  // does not divide 128 frames per group
-    EXPECT_DEATH(NuRapidCache(model(), p), "restriction");
+    // None divides 128 frames per group; 3 and 200 used to die in
+    // DataArray with a region-count message instead.
+    for (const std::uint32_t restriction : {100u, 3u, 200u}) {
+        auto p = smallParams();
+        p.frame_restriction = restriction;
+        EXPECT_DEATH(NuRapidCache(model(), p), "frame restriction")
+            << restriction;
+    }
 }
 
 } // namespace

@@ -74,14 +74,15 @@ struct ObsRun
 
 ObsRun
 observedRun(const OrgSpec &org, const WorkloadProfile &prof,
-            const SimLength &len, bool distill)
+            const SimLength &len, bool distill,
+            std::uint64_t interval = 4096)
 {
     ::setenv("NURAPID_DISTILL", distill ? "1" : "0", 1);
     System sys(org, prof, len);
     ObsConfig cfg;
     cfg.record_events = true;
     cfg.record_metrics = true;
-    cfg.interval = 4096;
+    cfg.interval = interval;
     sys.enableObservability(cfg);
     sys.runAll();
     ObsRun r;
@@ -126,26 +127,34 @@ expectSameEventStream(const ObsRun &live, const ObsRun &dist,
     }
 }
 
-TEST(Obs, EventStreamIdenticalLiveVsDistilledNuRapid)
+/** Live and distilled runs of @p org on @p profile agree at epoch
+ *  lengths whose boundaries fall inside inert runs and on event
+ *  records (the primes) as well as on the default-like 4096. */
+void
+expectSameStreamsAtSeveralIntervals(const OrgSpec &org,
+                                    const char *profile)
 {
     const SimLength len{20'000, 60'000};
-    const WorkloadProfile prof = findProfile("mcf");
-    const OrgSpec org = OrgSpec::nurapidDefault();
-    const ObsRun live = observedRun(org, prof, len, false);
-    const ObsRun dist = observedRun(org, prof, len, true);
-    ASSERT_GT(live.events.size(), 0u);
-    expectSameEventStream(live, dist, "nurapid/mcf");
+    const WorkloadProfile prof = findProfile(profile);
+    for (const std::uint64_t interval : {7u, 997u, 4096u}) {
+        const std::string what = org.description() + "/" + profile +
+            " interval " + std::to_string(interval);
+        const ObsRun live = observedRun(org, prof, len, false, interval);
+        const ObsRun dist = observedRun(org, prof, len, true, interval);
+        ASSERT_GT(live.events.size(), 0u) << what;
+        expectSameEventStream(live, dist, what);
+    }
+}
+
+TEST(Obs, EventStreamIdenticalLiveVsDistilledNuRapid)
+{
+    expectSameStreamsAtSeveralIntervals(OrgSpec::nurapidDefault(), "mcf");
 }
 
 TEST(Obs, EventStreamIdenticalLiveVsDistilledDNuca)
 {
-    const SimLength len{20'000, 60'000};
-    const WorkloadProfile prof = findProfile("art");
-    const OrgSpec org = OrgSpec::dnucaSsPerformance();
-    const ObsRun live = observedRun(org, prof, len, false);
-    const ObsRun dist = observedRun(org, prof, len, true);
-    ASSERT_GT(live.events.size(), 0u);
-    expectSameEventStream(live, dist, "dnuca/art");
+    expectSameStreamsAtSeveralIntervals(OrgSpec::dnucaSsPerformance(),
+                                        "art");
 }
 
 TEST(Obs, TimelineConservesCounters)
@@ -210,28 +219,57 @@ TEST(Obs, DetachedHooksDoNotAllocate)
 
     // Sanity: the same loop with a sink attached does record events,
     // so the zero-allocation result covers live hook sites.
-    EventSink sink(true, 0);
+    EventSink sink(true);
     org->attachObserver(&sink);
     drive(3);
     EXPECT_GT(sink.recorded(), 0u);
 }
 
-TEST(Obs, EventSinkRingOverwritesOldest)
+TEST(IntervalRecorder, TickRunsSnapshotExactlyAtBoundaries)
 {
-    EventSink sink(true, 4);
-    for (std::uint64_t i = 0; i < 6; ++i)
-        sink.hit(i, i * 64, 0, 10);
-    EXPECT_EQ(sink.recorded(), 6u);
-    EXPECT_EQ(sink.dropped(), 2u);
-    const std::vector<ObsEvent> ev = sink.events();
-    ASSERT_EQ(ev.size(), 4u);
-    for (std::uint64_t i = 0; i < 4; ++i)
-        EXPECT_EQ(ev[i].cycle, i + 2) << "oldest-first after wrap";
+    IntervalRecorder rec(10, IntervalSources{}, nullptr);
+    rec.begin();
+    const auto refsAt = [&](std::size_t i) {
+        return rec.timeline().at(i).refs;
+    };
+
+    rec.tick(3);  // below the interval: no snapshot
+    EXPECT_EQ(rec.timeline().size(), 1u);
+    EXPECT_EQ(rec.untilSnapshot(), 7u);
+    rec.tick(7);  // 3 + 7 sums to the interval
+    ASSERT_EQ(rec.timeline().size(), 2u);
+    EXPECT_EQ(refsAt(1), 10u);
+    EXPECT_EQ(rec.untilSnapshot(), 10u);
+
+    rec.tick(10);  // equal to the interval
+    ASSERT_EQ(rec.timeline().size(), 3u);
+    EXPECT_EQ(refsAt(2), 20u);
+
+    for (int i = 0; i < 9; ++i)
+        rec.tick();
+    EXPECT_EQ(rec.timeline().size(), 3u);
+    rec.tick();
+    ASSERT_EQ(rec.timeline().size(), 4u);
+    EXPECT_EQ(refsAt(3), 30u);
+
+    rec.tick(4);
+    rec.finish();
+    ASSERT_EQ(rec.timeline().size(), 5u);
+    EXPECT_EQ(refsAt(4), 34u);
+    EXPECT_EQ(rec.refs(), 34u);
+}
+
+TEST(IntervalRecorderDeath, TickAcrossABoundaryPanics)
+{
+    IntervalRecorder rec(10, IntervalSources{}, nullptr);
+    rec.begin();
+    rec.tick(4);
+    EXPECT_DEATH(rec.tick(7), "cross the epoch boundary");
 }
 
 TEST(Obs, MetricsOnlySinkKeepsAggregatesWithoutBuffering)
 {
-    EventSink sink(false, 0);
+    EventSink sink(false);
     sink.hit(1, 64, 0, 10);
     sink.miss(2, 128, 200);
     EXPECT_FALSE(sink.buffering());
@@ -249,9 +287,11 @@ TEST(Obs, MetricsOnlySinkKeepsAggregatesWithoutBuffering)
 
 /** One observed D-NUCA run exported to all three files and parsed
  *  back. */
-void
-checkExportsRoundTrip()
+TEST(Obs, ExportsRoundTripThroughJsonParser)
 {
+    // An unset interval means the default epoch length.
+    EXPECT_EQ(ObsConfig{}.resolvedInterval(), ObsConfig::kDefaultInterval);
+
     constexpr std::uint64_t kInterval = 2048;
     const SimLength len{5'000, 20'000};
     System sys(OrgSpec::dnucaSsPerformance(), findProfile("gzip"), len);
@@ -273,6 +313,8 @@ checkExportsRoundTrip()
     EXPECT_EQ(events.meta.get("meta").asString(), "nurapid-events");
     EXPECT_EQ(events.meta.get("recorded").asUint(),
               sys.observabilitySink()->recorded());
+    // The log keeps every event, so the file holds all it recorded.
+    EXPECT_EQ(events.epochs.size(), sys.observabilitySink()->recorded());
     ASSERT_GT(events.epochs.size(), 0u);
     for (const Json &e : events.epochs)
         EXPECT_TRUE(e.has("kind") && e.has("cycle") && e.has("addr"));
@@ -292,33 +334,6 @@ checkExportsRoundTrip()
     ASSERT_TRUE(readJsonlFile(cfg.perfetto_path, perfetto, &err)) << err;
     EXPECT_TRUE(perfetto.meta.get("traceEvents").isArray());
     EXPECT_GT(perfetto.meta.get("traceEvents").size(), 0u);
-}
-
-TEST(Obs, ExportsRoundTripThroughJsonParser)
-{
-    // An unset interval means the default epoch length.
-    EXPECT_EQ(ObsConfig{}.resolvedInterval(), ObsConfig::kDefaultInterval);
-
-    // Besides the plain run, negative or huge env values must fall back
-    // to the defaults instead of wrapping to 2^64-1 or reserving a ring
-    // the process cannot allocate.
-    struct EnvInput
-    {
-        const char *name;
-        const char *value;
-    };
-    for (const EnvInput &in :
-         {EnvInput{nullptr, nullptr},
-          EnvInput{"NURAPID_OBS_EVENT_CAP", "-1"},
-          EnvInput{"NURAPID_OBS_EVENT_CAP", "99999999999"}}) {
-        SCOPED_TRACE(in.name ? std::string(in.name) + "=" + in.value
-                             : std::string("no env"));
-        if (in.name)
-            ::setenv(in.name, in.value, 1);
-        checkExportsRoundTrip();
-        if (in.name)
-            ::unsetenv(in.name);
-    }
 }
 
 TEST(Obs, ObservedRunsBypassTheRunCache)

@@ -21,20 +21,6 @@ TEST(Counter, IncrementAndAdd)
     EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(Average, TracksMoments)
-{
-    Average a;
-    EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-    a.sample(2.0);
-    a.sample(4.0);
-    a.sample(6.0);
-    EXPECT_DOUBLE_EQ(a.mean(), 4.0);
-    EXPECT_DOUBLE_EQ(a.sum(), 12.0);
-    EXPECT_EQ(a.samples(), 3u);
-    EXPECT_DOUBLE_EQ(a.min(), 2.0);
-    EXPECT_DOUBLE_EQ(a.max(), 6.0);
-}
-
 TEST(StatGroup, RegisterAndQuery)
 {
     StatGroup g("grp");
