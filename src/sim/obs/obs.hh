@@ -280,8 +280,8 @@ class IntervalRecorder
 
     /** @p n retired references, snapshotting if they reach the epoch
      *  boundary; panics if they would cross it (see untilSnapshot()).
-     *  Inline countdown: the common case is a subtract and a
-     *  not-taken branch. */
+     *  Inline countdown: the common case is a compare, a subtract
+     *  and two not-taken branches. */
     void
     tick(std::uint64_t n = 1)
     {
