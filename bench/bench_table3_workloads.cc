@@ -20,9 +20,14 @@ main()
     TextTable t;
     t.header({"Benchmark", "Type", "Class", "paper IPC", "ours IPC",
               "paper APKI", "ours APKI", "L2 miss%"});
-    const auto spec = OrgSpec::baseline();
-    for (const auto &p : workloadSuite()) {
-        auto m = runOne(spec, p);
+    // One batch, so the fifteen workloads share the engine's worker
+    // pool instead of running one after another.
+    const auto &suite = workloadSuite();
+    const std::vector<RunMetrics> runs =
+        runSuite(OrgSpec::baseline(), suite);
+    for (std::size_t i = 0; i < suite.size(); ++i) {
+        const WorkloadProfile &p = suite[i];
+        const RunMetrics &m = runs[i];
         t.row({p.name, p.fp ? "FP" : "Int",
                p.high_load ? "high-load" : "low-load",
                TextTable::num(p.table3_ipc, 1), TextTable::num(m.ipc, 2),

@@ -7,8 +7,10 @@
 #   release  RelWithDebInfo, audit hooks compiled in. Also runs the
 #            tier-1 suite again with the live per-record loop
 #            (NURAPID_DISTILL=0), the observability smoke (whose
-#            distilled and live exports must be byte-equal), the
-#            engine-trace smoke, and a short cold sweep of all 17
+#            distilled and live exports must be byte-equal), --stats
+#            dumps of mcf and parser on base and nurapid (distilled
+#            and live must be byte-equal, core L1 and predictor
+#            counters included), the engine-trace smoke, and a short cold sweep of all 17
 #            bench binaries twice, distilled and live: the two sweeps
 #            must leave bit-identical 267-entry run caches, and the
 #            distilled sweep's [engine] footers must cover >= 95% of
@@ -144,6 +146,33 @@ for config in $configs; do
                 echo "obs smoke: $f differs between distilled and" \
                     "live replay" >&2
                 exit 1; }
+        done
+
+        # The core's L1 and predictor counters are in neither the run
+        # cache nor perfbench's digest. The distilled replay folds them
+        # per segment; the full --stats dumps (all but the wall-clock
+        # line) must match the live loop's. parser adds ifetches.
+        echo "=== [$config] stats dumps (distilled vs live) ==="
+        stats_dir="$dir/stats_identity"
+        rm -rf "$stats_dir"
+        mkdir -p "$stats_dir"
+        for bench in mcf parser; do
+            for org in base nurapid; do
+                for distill in 1 0; do
+                    NURAPID_DISTILL=$distill NURAPID_SIM_SCALE=0.05 \
+                        "$dir/src/tools/nurapid_sim" --org "$org" \
+                        --benchmark "$bench" --stats \
+                        > "$stats_dir/$bench.$org.$distill.raw"
+                    grep -v '^wall-clock' \
+                        "$stats_dir/$bench.$org.$distill.raw" \
+                        > "$stats_dir/$bench.$org.$distill.txt"
+                done
+                cmp "$stats_dir/$bench.$org.1.txt" \
+                    "$stats_dir/$bench.$org.0.txt" || {
+                    echo "stats dumps: $bench on $org differs between" \
+                        "distilled and live replay" >&2
+                    exit 1; }
+            done
         done
 
         # Observability must not perturb the simulation and observed

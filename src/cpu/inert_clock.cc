@@ -22,10 +22,10 @@ constexpr std::uint64_t kMaxStep =
     std::numeric_limits<std::uint64_t>::max() / InertClock::kBlock >>
     kInstBits;
 /** Gap-word bits that mark an inst_gap >= 64 (no table entry). */
-constexpr std::uint16_t kWideGap = DistilledTrace::kGapInstMask & ~63u;
+constexpr std::uint8_t kWideGap = DistilledTrace::kGapInstMask & ~63u;
 
 unsigned
-tableIndex(std::uint16_t w)
+tableIndex(std::uint8_t w)
 {
     return std::rotl(w, 1) & 127u;
 }
@@ -69,8 +69,8 @@ InertClock::buildTable(int e)
 }
 
 InertClock::Clock
-InertClock::exactSteps(Clock clock, const std::uint16_t *g,
-                       const std::uint16_t *end)
+InertClock::exactSteps(Clock clock, const std::uint8_t *g,
+                       const std::uint8_t *end)
 {
     auto &[c, insts] = clock;
     while (g != end) {
@@ -78,7 +78,9 @@ InertClock::exactSteps(Clock clock, const std::uint16_t *g,
             const std::uint64_t bits = std::bit_cast<std::uint64_t>(c);
             std::uint64_t k = (bits & kFrac) | kLead;
             for (; end - g >= kBlock; g += kBlock) {
-                std::uint16_t any = 0;
+                // Byte loads feed the table directly; extracting the
+                // bytes from one 8-byte load measured slower.
+                std::uint8_t any = 0;
                 std::uint64_t sum = 0;
                 for (std::ptrdiff_t j = 0; j < kBlock; ++j) {
                     any |= g[j];

@@ -77,9 +77,9 @@ class InertClock
      * 16 records on the profiles' streams), too soon for integer
      * blocks to pay for their entry.
      */
-    const std::uint16_t *
-    advance(double &c, std::uint64_t &insts, const std::uint16_t *g,
-            const std::uint16_t *end, double lim_c, std::uint64_t lim_i)
+    const std::uint8_t *
+    advance(double &c, std::uint64_t &insts, const std::uint8_t *g,
+            const std::uint8_t *end, double lim_c, std::uint64_t lim_i)
     {
         if (end - g < kMinExactRun || lim_c != kNoClockLimit ||
             lim_i != kNoInstLimit) {
@@ -92,18 +92,18 @@ class InertClock
     }
 
     /** advance() by the live loop's two FP additions per record. */
-    const std::uint16_t *
-    doubleSteps(double &c, std::uint64_t &insts, const std::uint16_t *g,
-                const std::uint16_t *end, double lim_c,
+    const std::uint8_t *
+    doubleSteps(double &c, std::uint64_t &insts, const std::uint8_t *g,
+                const std::uint8_t *end, double lim_c,
                 std::uint64_t lim_i) const
     {
         while (g != end) {
-            const std::uint16_t w = *g++;
+            const std::uint8_t w = *g++;
             const std::uint32_t n =
                 (w & DistilledTrace::kGapInstMask) + 1u;
             insts += n;
             c += n * cpi;
-            c += pen[w >> 15];
+            c += pen[w >> 7];
             if (c >= lim_c || insts >= lim_i) [[unlikely]]
                 break;
         }
@@ -123,8 +123,8 @@ class InertClock
     };
 
     /** advance() over a whole run with no limit set. */
-    [[gnu::noinline]] Clock exactSteps(Clock clock, const std::uint16_t *g,
-                                       const std::uint16_t *end);
+    [[gnu::noinline]] Clock exactSteps(Clock clock, const std::uint8_t *g,
+                                       const std::uint8_t *end);
 
     void buildTable(int e);
 
@@ -132,7 +132,7 @@ class InertClock
     double pen[2] = {0.0, 0.0};
     int tableExp = 0;            //!< binade the table was built for
     bool tableExact = false;     //!< table valid (no tie, no overflow)
-    /** Indexed by rotl16(word, 1) & 127 (inst_gap 0-63 × fold bit):
+    /** Indexed by rotl8(word, 1) & 127 (inst_gap 0-63 × fold bit):
      *  (K step << 10) | (inst_gap + 1). */
     std::array<std::uint64_t, 128> table{};
 };

@@ -39,8 +39,8 @@ OooCore::run(TraceSource &trace, std::uint64_t records)
 }
 
 void
-OooCore::replayInertObserved(const std::uint16_t *g,
-                             const std::uint16_t *end)
+OooCore::replayInertObserved(const std::uint8_t *g,
+                             const std::uint8_t *end)
 {
     while (g != end) {
         const std::uint64_t k = std::min<std::uint64_t>(

@@ -100,9 +100,9 @@ class OooCore
      * distilled against this core's L1 organizations and predictor
      * configuration — System keys the stream by them). Only L2-relevant
      * events touch the machine; the L1 tag walk and predictor tables
-     * are skipped entirely, with their counter effects folded in from
-     * the event deltas. The replayed segment must end on one of the
-     * stream's cuts so folded counters are exact at the stop record.
+     * are skipped entirely, with their counter effects added per
+     * segment at each cut's final record. The replay may cross cuts
+     * but must stop on one, so folded counters are exact there.
      * Bit-identical to runTyped over the same records (asserted by
      * tests/test_distilled_trace.cc); @p cur advances past the segment.
      */
@@ -194,7 +194,7 @@ class OooCore
      * one trips.
      */
     void
-    replayInert(const std::uint16_t *g, const std::uint16_t *end)
+    replayInert(const std::uint8_t *g, const std::uint8_t *end)
     {
         double c = cycleF;
         std::uint64_t n_insts = insts;
@@ -232,8 +232,8 @@ class OooCore
      * the instruction count and the organization's books, and
      * replayInert leaves them where the live loop does at any record.
      */
-    void replayInertObserved(const std::uint16_t *g,
-                             const std::uint16_t *end);
+    void replayInertObserved(const std::uint8_t *g,
+                             const std::uint8_t *end);
 
     template <class LowerT>
     Cycles missLatency(LowerT &lower_mem, Addr addr, AccessType type,
@@ -432,7 +432,8 @@ OooCore::runDistilled(LowerT &lower_mem, DistilledTrace::Cursor &cur,
 {
     using DT = DistilledTrace;
     const std::uint64_t stop = cur.pos + records;
-    const std::uint16_t *const gaps = cur.gaps;
+    const std::uint8_t *const gaps = cur.gaps;
+    std::uint16_t f = 0;
 
     while (cur.pos < stop) {
         panic_if(cur.ev == cur.ev_end,
@@ -453,20 +454,12 @@ OooCore::runDistilled(LowerT &lower_mem, DistilledTrace::Cursor &cur,
             replayInertObserved(gaps + cur.pos, gaps + erec);
         else
             replayInert(gaps + cur.pos, gaps + erec);
-        const auto inert = static_cast<std::uint32_t>(erec - cur.pos);
         cur.pos = erec + 1;
 
-        statL1IAccesses += e.d_l1i;
-        statL1DAccesses += inert - e.d_l1i;
-        l1i.foldStats(e.d_l1i, 0, 0, 0);
-        l1d.foldStats(inert - e.d_l1i, 0, 0, 0);
-        bpred.foldStats(e.d_bp_pred + e.d_misp, e.d_misp);
-
-        // The event record itself, replayed in live-loop order. Its
-        // gap word is the full 16-bit inst_gap.
-        const std::uint16_t f = e.flags;
-        insts += gaps[erec] + 1;
-        cycleF += (gaps[erec] + 1) * dispatchCpi;
+        // The event record itself, replayed in live-loop order.
+        f = e.flags;
+        insts += e.inst_gap + 1;
+        cycleF += (e.inst_gap + 1) * dispatchCpi;
 
         if (f & DT::kHasBranch) {
             bpred.foldStats(1, (f & DT::kMispredict) ? 1 : 0);
@@ -500,17 +493,32 @@ OooCore::runDistilled(LowerT &lower_mem, DistilledTrace::Cursor &cur,
                 .foldStats(0, 1, (f & DT::kL1Evict) ? 1 : 0,
                            (f & DT::kWriteback) ? 1 : 0);
             if (f & DT::kWriteback) {
-                lower_mem.access(e.evicted_addr, AccessType::Writeback,
-                                 now);
+                lower_mem.access(Addr{e.victim} << cur.victim_shift,
+                                 AccessType::Writeback, now);
             }
-            missPath(lower_mem, e.addr, store, ifetch,
-                     (f & DT::kLatencyCritical) != 0, now);
+            missPath(lower_mem, Addr{e.block} << cur.block_shift, store,
+                     ifetch, (f & DT::kLatencyCritical) != 0, now);
         } else {
             (ifetch ? l1i : l1d).foldStats(1, 0, 0, 0);
+        }
+
+        // The segment's non-event records, counted at its last record:
+        // nothing reads these counters between cuts.
+        if (f & DT::kSegmentEnd) {
+            const DT::SegmentFold &fold = *cur.fold++;
+            statL1IAccesses += fold.l1i_hits;
+            statL1DAccesses += fold.l1d_hits;
+            l1i.foldStats(fold.l1i_hits, 0, 0, 0);
+            l1d.foldStats(fold.l1d_hits, 0, 0, 0);
+            bpred.foldStats(fold.bp_correct + fold.mispredicts,
+                            fold.mispredicts);
         }
         if (obsRec) [[unlikely]]
             obsRec->tick();
     }
+    panic_if(records > 0 && !(f & DT::kSegmentEnd),
+             "distilled replay stopped off a cut — the segment's folded "
+             "counters would be lost");
 }
 
 } // namespace nurapid

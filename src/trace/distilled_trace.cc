@@ -1,6 +1,7 @@
 #include "trace/distilled_trace.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -14,6 +15,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "common/bitops.hh"
 #include "common/logging.hh"
 #include "cpu/branch_predictor.hh"
 #include "trace/packed_trace.hh"
@@ -38,6 +40,20 @@ checkCuts(const std::vector<std::uint64_t> &cuts, std::uint64_t records)
              static_cast<unsigned long long>(records));
 }
 
+/** @p addr's index in blocks of 2^@p shift bytes, as an Event stores
+ *  it; fatal past 32 bits. */
+std::uint32_t
+blockIndex(Addr addr, unsigned shift)
+{
+    const Addr index = addr >> shift;
+    fatal_if(index > UINT32_MAX,
+             "address %#llx has block index %#llx, past the 32 bits a "
+             "distilled event holds; set NURAPID_DISTILL=0",
+             static_cast<unsigned long long>(addr),
+             static_cast<unsigned long long>(index));
+    return static_cast<std::uint32_t>(index);
+}
+
 } // namespace
 
 DistilledTrace::DistilledTrace(const WorkloadProfile &profile,
@@ -54,30 +70,30 @@ DistilledTrace::DistilledTrace(const WorkloadProfile &profile,
              static_cast<unsigned long long>(records));
     checkCuts(cuts, records);
     cuts_ = cuts;
+    setShifts(params);
 
     SyntheticTrace gen(profile, seed_mix);
     SetAssocCache l1i(params.l1i);
     SetAssocCache l1d(params.l1d);
     BranchPredictor bpred(params.bp_entries, params.bp_history_bits);
 
+    // Zero-filled: an event record's gap word stays 0.
     gap_buf.resize(records);
     // The event rate is the L1 miss rate plus dep-check points —
     // reserve for a generous 25% (untouched capacity is never made
     // resident) and let the vector grow in the rare workloads beyond
     // that.
     event_buf.reserve(records / 4);
+    fold_buf.resize(cuts_.size());
 
     TraceRecord r;
     auto next_cut = cuts_.begin();
-    std::uint32_t acc_bp_pred = 0;  //!< correct predictions since event
-    std::uint32_t acc_l1i = 0;      //!< inert ifetch refs since event
-    std::uint16_t acc_misp = 0;     //!< folded mispredicts since event
+    SegmentFold *fold = fold_buf.data();  //!< the open segment's fold
     bool dep_pending = false;       //!< a dep load must replay its check
 
     for (std::uint64_t k = 0; k < records; ++k) {
         const bool got = gen.next(r);
         panic_if(!got, "workload stream ended mid-distillation");
-        gap_buf[k] = r.inst_gap;
 
         std::uint16_t flags = 0;
         if (r.has_branch &&
@@ -110,65 +126,77 @@ DistilledTrace::DistilledTrace(const WorkloadProfile &profile,
         if (at_cut)
             ++next_cut;
 
-        // An inst_gap that needs bit 15 makes its record an event, so
+        // An inst_gap that needs bit 7 makes its record an event, so
         // the gap word of a non-event record never misreads as a
         // folded mispredict.
         const bool foldable = !at_cut && r.inst_gap <= kGapInstMask;
-        if (flags == 0 && foldable) {
-            // Inert L1 hit: fold into the running deltas.
-            if (r.has_branch)
-                ++acc_bp_pred;
-            if (ifetch)
-                ++acc_l1i;
-            continue;
-        }
-        if (flags == kMispredict && foldable && acc_misp < 0xffff) {
-            // Mispredict-only L1 hit: its penalty rides the gap word.
-            gap_buf[k] |= kGapMispredict;
-            ++acc_misp;
-            if (ifetch)
-                ++acc_l1i;
+        if (foldable && (flags == 0 || flags == kMispredict)) {
+            // An L1 hit whose only stall is an optional mispredict: its
+            // penalty rides the gap word, its counters the segment's
+            // fold.
+            const bool misp = flags == kMispredict;
+            gap_buf[k] = static_cast<std::uint8_t>(
+                r.inst_gap | (misp ? kGapMispredict : 0));
+            ++(ifetch ? fold->l1i_hits : fold->l1d_hits);
+            if (misp)
+                ++fold->mispredicts;
+            else if (r.has_branch)
+                ++fold->bp_correct;
             continue;
         }
 
         Event e;
-        e.addr = r.addr;
-        e.evicted_addr = a.evicted_addr;
+        e.block = blockIndex(r.addr, blockShift);
+        // Only stores dirty a line, so every victim is an L1D block.
+        if (flags & kWriteback)
+            e.victim = blockIndex(a.evicted_addr, victimShift);
         e.rec = static_cast<std::uint32_t>(k);
         e.flags = static_cast<std::uint16_t>(
             flags | (ifetch ? kIfetch : 0) | (store ? kStore : 0) |
             (r.has_branch ? kHasBranch : 0) |
-            (r.latency_critical ? kLatencyCritical : 0));
-        e.d_misp = acc_misp;
-        e.d_bp_pred = acc_bp_pred;
-        e.d_l1i = acc_l1i;
-        acc_misp = 0;
-        acc_bp_pred = 0;
-        acc_l1i = 0;
+            (r.latency_critical ? kLatencyCritical : 0) |
+            (at_cut ? kSegmentEnd : 0));
+        e.inst_gap = r.inst_gap;
         event_buf.push_back(e);
+        if (at_cut)
+            ++fold;
     }
 
     gaps_ = gap_buf.data();
     events_ = event_buf.data();
+    folds_ = fold_buf.data();
     nrecs = records;
     nevents = event_buf.size();
 }
 
 DistilledTrace::DistilledTrace(const WorkloadProfile &, std::uint64_t,
                                const std::vector<std::uint64_t> &cuts,
-                               const DistillParams &, void *base,
+                               const DistillParams &params, void *base,
                                std::size_t len, std::size_t gaps_offset,
                                std::size_t events_offset,
+                               std::size_t folds_offset,
                                std::uint64_t records,
                                std::uint64_t event_count)
-    : gaps_(reinterpret_cast<const std::uint16_t *>(
-          static_cast<const char *>(base) + gaps_offset)),
+    : gaps_(static_cast<const std::uint8_t *>(base) + gaps_offset),
       events_(reinterpret_cast<const Event *>(
           static_cast<const char *>(base) + events_offset)),
+      folds_(reinterpret_cast<const SegmentFold *>(
+          static_cast<const char *>(base) + folds_offset)),
       nrecs(records), nevents(event_count), cuts_(cuts), map_base(base),
       map_len(len)
 {
     checkCuts(cuts_, records);
+    setShifts(params);
+}
+
+void
+DistilledTrace::setShifts(const DistillParams &params)
+{
+    fatal_if(!isPowerOf2(params.mshr_block_bytes),
+             "MSHR block size %u not a power of 2",
+             params.mshr_block_bytes);
+    blockShift = floorLog2(params.mshr_block_bytes);
+    victimShift = floorLog2(params.l1d.block_bytes);
 }
 
 DistilledTrace::~DistilledTrace()
@@ -191,7 +219,7 @@ distillFingerprint(const WorkloadProfile &profile, std::uint64_t seed_mix,
 {
     // Format version: bump whenever the event layout or fold semantics
     // change, so stale .dtc files can never replay the old scheme.
-    constexpr std::uint64_t kDistillFormatVersion = 2;
+    constexpr std::uint64_t kDistillFormatVersion = 3;
 
     Fingerprint fp;
     fp.field("distill_format", kDistillFormatVersion);
@@ -224,9 +252,11 @@ namespace {
 
 // ---------------------------------------------------------------------
 // Cross-process disk cache: header + full canonical key (collision
-// guard) + 16-byte-aligned gap and event arrays, written via tmp-file
-// + rename so a concurrent or killed writer never leaves a half-written
-// file under the final name.
+// guard) + 16-byte-aligned gap array, then the event and fold arrays
+// (one fold per cut), written via tmp-file + rename so a concurrent or
+// killed writer never leaves a half-written file under the final name.
+// The header's checksum covers the three arrays, so a flipped bit in
+// the payload is recomputed rather than replayed.
 // ---------------------------------------------------------------------
 
 constexpr char kDistillFileMagic[8] = {'N', 'R', 'P', 'D', 'S', 'T', '1',
@@ -238,7 +268,46 @@ struct DistillFileHeader
     std::uint64_t record_count;
     std::uint64_t event_count;
     std::uint64_t key_bytes;
+    std::uint64_t checksum;  //!< payloadChecksum() of the arrays
 };
+
+/** Folds @p n bytes at @p p into @p h, 8 bytes a step (the last word
+ *  zero-padded). A rotate after each multiply carries every input bit
+ *  into the low bits too. Catches corruption, not adversaries. */
+std::uint64_t
+checksumBytes(std::uint64_t h, const void *p, std::size_t n)
+{
+    constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ull;
+    const auto *b = static_cast<const unsigned char *>(p);
+    auto step = [&h](std::uint64_t w) {
+        h = std::rotl((h ^ w) * kMul, 29);
+    };
+    for (; n >= 8; b += 8, n -= 8) {
+        std::uint64_t w;
+        std::memcpy(&w, b, 8);
+        step(w);
+    }
+    if (n > 0) {
+        std::uint64_t w = 0;
+        std::memcpy(&w, b, n);
+        step(w);
+    }
+    return h;
+}
+
+/** Checksum of @p t's gap, event and fold arrays. */
+std::uint64_t
+payloadChecksum(const DistilledTrace &t)
+{
+    std::uint64_t h = 0x243f6a8885a308d3ull;
+    h = checksumBytes(h, t.gapData(), static_cast<std::size_t>(t.size()));
+    h = checksumBytes(h, t.eventData(),
+                      static_cast<std::size_t>(t.eventCount()) *
+                          sizeof(DistilledTrace::Event));
+    return checksumBytes(h, t.foldData(),
+                         t.cutList().size() *
+                             sizeof(DistilledTrace::SegmentFold));
+}
 
 std::size_t
 alignUp16(std::size_t n)
@@ -303,6 +372,7 @@ loadDistilledFile(const WorkloadProfile &profile, std::uint64_t records,
     const char *bad = nullptr;
     std::size_t goff = 0;
     std::size_t eoff = 0;
+    std::size_t foff = 0;
     if (std::memcmp(hdr.magic, kDistillFileMagic, sizeof(hdr.magic)) != 0 ||
         hdr.record_count != records || hdr.key_bytes != fp.key().size()) {
         bad = "has a stale or foreign header";
@@ -312,9 +382,9 @@ loadDistilledFile(const WorkloadProfile &profile, std::uint64_t records,
         bad = "claims more events than records";
     } else {
         goff = gapsOffset(hdr.key_bytes);
-        eoff = alignUp16(goff + static_cast<std::size_t>(records) *
-                                    sizeof(std::uint16_t));
-        if (len < eoff + hdr.event_count * sizeof(DistilledTrace::Event)) {
+        eoff = alignUp16(goff + static_cast<std::size_t>(records));
+        foff = eoff + hdr.event_count * sizeof(DistilledTrace::Event);
+        if (len < foff + cuts.size() * sizeof(DistilledTrace::SegmentFold)) {
             bad = "is truncated";
         } else if (std::memcmp(static_cast<const char *>(base) +
                                    sizeof(hdr),
@@ -329,9 +399,15 @@ loadDistilledFile(const WorkloadProfile &profile, std::uint64_t records,
         warn("distilled trace %s %s; recomputing", path.c_str(), bad);
         return nullptr;
     }
-    return std::make_shared<const DistilledTrace>(
-        profile, seed_mix, cuts, params, base, len, goff, eoff, records,
-        hdr.event_count);
+    auto t = std::make_shared<const DistilledTrace>(
+        profile, seed_mix, cuts, params, base, len, goff, eoff, foff,
+        records, hdr.event_count);
+    if (payloadChecksum(*t) != hdr.checksum) {
+        warn("distilled trace %s fails its checksum; recomputing",
+             path.c_str());
+        return nullptr;  // t unmaps the file
+    }
+    return t;
 }
 
 /** Persists @p t; failures (missing dir, no space) are ignored. */
@@ -361,11 +437,11 @@ storeDistilledFile(const DistilledTrace &t, const WorkloadProfile &profile,
     hdr.record_count = t.size();
     hdr.event_count = t.eventCount();
     hdr.key_bytes = fp.key().size();
+    hdr.checksum = payloadChecksum(t);
 
     const char pad[16] = {};
     const std::size_t goff = gapsOffset(hdr.key_bytes);
-    const std::size_t gap_bytes =
-        static_cast<std::size_t>(t.size()) * sizeof(std::uint16_t);
+    const auto gap_bytes = static_cast<std::size_t>(t.size());
     const std::size_t head_pad = goff - sizeof(hdr) - fp.key().size();
     const std::size_t mid_pad = alignUp16(goff + gap_bytes) -
         (goff + gap_bytes);
@@ -373,11 +449,12 @@ storeDistilledFile(const DistilledTrace &t, const WorkloadProfile &profile,
         std::fwrite(fp.key().data(), 1, fp.key().size(), f) ==
             fp.key().size() &&
         std::fwrite(pad, 1, head_pad, f) == head_pad &&
-        std::fwrite(t.gapData(), sizeof(std::uint16_t), t.size(), f) ==
-            t.size() &&
+        std::fwrite(t.gapData(), 1, gap_bytes, f) == gap_bytes &&
         std::fwrite(pad, 1, mid_pad, f) == mid_pad &&
         std::fwrite(t.eventData(), sizeof(DistilledTrace::Event),
-                    t.eventCount(), f) == t.eventCount();
+                    t.eventCount(), f) == t.eventCount() &&
+        std::fwrite(t.foldData(), sizeof(DistilledTrace::SegmentFold),
+                    cuts.size(), f) == cuts.size();
     if (std::fclose(f) != 0 || !ok) {
         std::remove(tmp.c_str());
         return;

@@ -14,24 +14,28 @@
  *
  * DistilledTrace stores that shared prefix as:
  *
- *  - a per-record array of 16-bit gap words (2 B/record — the dispatch
+ *  - a per-record array of 8-bit gap words (1 B/record — the dispatch
  *    clock is a running double, so the replay must reproduce the exact
  *    per-record addition order; everything else about inert L1-hit
- *    records folds away). Bits 0-14 hold the record's inst_gap; bit 15
+ *    records folds away). Bits 0-6 hold the record's inst_gap; bit 7
  *    (kGapMispredict) marks a record whose only effect is a branch
  *    mispredict, so its penalty is replayed from the gap word
- *    without leaving the inert loop. Event records keep their full
- *    16-bit inst_gap; any record whose inst_gap needs bit 15 is made
- *    an event, so the flag can never be misread.
- *  - a sparse, ordered array of Events: one per record whose replay
- *    touches org-dependent state (L1 miss, dirty writeback,
- *    dependent-load stall point) or that closes a warmup/measure
- *    segment. Mispredicts are not events of their own: one rides an
- *    event only when its record is one for another reason. Each event
- *    carries the counter deltas (inert ifetch count, correct branch
- *    predictions, folded mispredicts) accumulated over the
- *    non-event records since the previous event, so statistics stay
- *    bit-identical without touching the L1 or predictor tables.
+ *    without leaving the inert loop. Any record whose inst_gap needs
+ *    bit 7 is made an event, so the flag can never be misread; an
+ *    event's gap word is unused (0).
+ *  - a sparse, ordered array of 16-byte Events: one per record whose
+ *    replay touches org-dependent state (L1 miss, dirty writeback,
+ *    dependent-load stall point), whose inst_gap is wider than 7 bits,
+ *    or that closes a warmup/measure segment. An event carries its
+ *    record's full 16-bit inst_gap and its addresses as 32-bit block
+ *    indices. Mispredicts are not events of their own: one rides an
+ *    event only when its record is one for another reason.
+ *  - one SegmentFold per segment cut: the L1 hits, correct branch
+ *    predictions and folded mispredicts of the segment's non-event
+ *    records. The replay adds it at the cut's forced event
+ *    (kSegmentEnd), so statistics stay bit-identical at every cut
+ *    without touching the L1 or predictor tables. Nothing reads those
+ *    counters between cuts.
  *
  * Only the *first* dependent load after each deep-load event needs an
  * event: the dependence stall fires at most once per
@@ -74,10 +78,9 @@ struct DistillParams
     CacheOrg l1d;
     std::uint32_t bp_entries = 8192;
     std::uint32_t bp_history_bits = 13;
-    /** MSHR tracking granularity. The distilled records store full
-     *  reference addresses (the replay aligns them itself), but the
-     *  sector size is keyed conservatively so a stream can never be
-     *  replayed against a core it was not distilled for. */
+    /** MSHR tracking granularity (a power of two). Events store the
+     *  reference address as its index in these blocks, which is all
+     *  the miss path reads of it. */
     std::uint32_t mshr_block_bytes = 32;
 };
 
@@ -96,32 +99,38 @@ class DistilledTrace
     static constexpr std::uint16_t kL1Evict = 1u << 6;
     static constexpr std::uint16_t kWriteback = 1u << 7;
     static constexpr std::uint16_t kLatencyCritical = 1u << 8;
+    /** The final record of a segment: replay adds its SegmentFold. */
+    static constexpr std::uint16_t kSegmentEnd = 1u << 9;
 
-    /** Gap-word bit 15: a folded mispredict-only record. The low 15
+    /** Gap-word bit 7: a folded mispredict-only record. The low 7
      *  bits (kGapInstMask) are its inst_gap. */
-    static constexpr std::uint16_t kGapMispredict = 1u << 15;
-    static constexpr std::uint16_t kGapInstMask = kGapMispredict - 1;
+    static constexpr std::uint8_t kGapMispredict = 1u << 7;
+    static constexpr std::uint8_t kGapInstMask = kGapMispredict - 1;
 
-    /** One L2-relevant record, 32 bytes. */
+    /** One L2-relevant record, 16 bytes. Addresses are block indices
+     *  (Cursor::block_shift, Cursor::victim_shift): the miss path and
+     *  the writeback read only block-aligned addresses. */
     struct Event
     {
-        Addr addr = 0;          //!< reference address (kL1Miss events)
-        Addr evicted_addr = 0;  //!< dirty L1 victim (kWriteback events)
+        /** Reference address >> block_shift (kL1Miss events). */
+        std::uint32_t block = 0;
+        /** Dirty L1D victim >> victim_shift (kWriteback events). */
+        std::uint32_t victim = 0;
         std::uint32_t rec = 0;  //!< absolute record index of the event
         std::uint16_t flags = 0;
-        /** Folded mispredict-only records (kGapMispredict gap words)
-         *  strictly between the previous event and this one. */
-        std::uint16_t d_misp = 0;
-        /** Correct branch predictions on the non-event records
-         *  strictly between the previous event and this one (the event
-         *  record's own branch is described by kHasBranch/kMispredict;
-         *  the d_misp mispredicts are counted separately). */
-        std::uint32_t d_bp_pred = 0;
-        /** Ifetch references among those non-event records (the rest
-         *  are data references; all of them are L1 hits). */
-        std::uint32_t d_l1i = 0;
+        std::uint16_t inst_gap = 0;  //!< the record's full inst_gap
     };
-    static_assert(sizeof(Event) == 32, "events must stay 32 bytes");
+    static_assert(sizeof(Event) == 16, "events must stay 16 bytes");
+
+    /** Counter effects of one segment's non-event records (all L1
+     *  hits), added when its kSegmentEnd event replays. */
+    struct SegmentFold
+    {
+        std::uint64_t l1i_hits = 0;
+        std::uint64_t l1d_hits = 0;
+        std::uint64_t bp_correct = 0;   //!< correct branch predictions
+        std::uint64_t mispredicts = 0;  //!< kGapMispredict gap words
+    };
 
     /** Longest distillable stream: Event::rec must index every record
      *  (the distiller fatal()s past it). */
@@ -131,18 +140,22 @@ class DistilledTrace
      *  advances the fields directly. */
     struct Cursor
     {
-        const std::uint16_t *gaps = nullptr;
+        const std::uint8_t *gaps = nullptr;
         const Event *ev = nullptr;
         const Event *ev_end = nullptr;
+        const SegmentFold *fold = nullptr;  //!< the next cut's fold
+        unsigned block_shift = 0;   //!< log2(mshr_block_bytes)
+        unsigned victim_shift = 0;  //!< log2(L1D block bytes)
         std::uint64_t pos = 0;  //!< next record index to replay
     };
 
     /** Distills @p records of (@p profile, @p seed_mix): generates the
      *  stream, runs the L1s and predictor over it in the same pass, and
-     *  keeps only the event stream. Fatal past kMaxRecords. @p cuts are
-     *  the segment boundaries replay may stop at (ascending, each > 0,
-     *  last == @p records); an event is forced at each cut's final
-     *  record so folded counters are exact there. */
+     *  keeps only the event stream. Fatal past kMaxRecords and on a
+     *  block index past 32 bits. @p cuts are the segment boundaries
+     *  replay may stop at (ascending, each > 0, last == @p records);
+     *  an event is forced at each cut's final record, where the
+     *  segment's folded counters are added. */
     DistilledTrace(const WorkloadProfile &profile, std::uint64_t records,
                    const std::vector<std::uint64_t> &cuts,
                    const DistillParams &params, std::uint64_t seed_mix = 0);
@@ -152,8 +165,8 @@ class DistilledTrace
                    const std::vector<std::uint64_t> &cuts,
                    const DistillParams &params, void *map_base,
                    std::size_t map_len, std::size_t gaps_offset,
-                   std::size_t events_offset, std::uint64_t records,
-                   std::uint64_t event_count);
+                   std::size_t events_offset, std::size_t folds_offset,
+                   std::uint64_t records, std::uint64_t event_count);
 
     ~DistilledTrace();
     DistilledTrace(const DistilledTrace &) = delete;
@@ -169,20 +182,30 @@ class DistilledTrace
     /** False for streams adopted from the disk cache. */
     bool fromFile() const { return map_base != nullptr; }
 
-    const std::uint16_t *gapData() const { return gaps_; }
+    const std::uint8_t *gapData() const { return gaps_; }
     const Event *eventData() const { return events_; }
+    /** One fold per cut, in cut order. */
+    const SegmentFold *foldData() const { return folds_; }
 
     Cursor
     cursor() const
     {
-        return Cursor{gaps_, events_, events_ + nevents, 0};
+        return Cursor{gaps_,       events_,      events_ + nevents, folds_,
+                      blockShift, victimShift, 0};
     }
 
   private:
-    std::vector<std::uint16_t> gap_buf;
+    /** Block-index shifts of the events' addresses. */
+    void setShifts(const DistillParams &params);
+
+    std::vector<std::uint8_t> gap_buf;
     std::vector<Event> event_buf;
-    const std::uint16_t *gaps_ = nullptr;
+    std::vector<SegmentFold> fold_buf;
+    const std::uint8_t *gaps_ = nullptr;
     const Event *events_ = nullptr;
+    const SegmentFold *folds_ = nullptr;
+    unsigned blockShift = 0;
+    unsigned victimShift = 0;
     std::uint64_t nrecs = 0;
     std::uint64_t nevents = 0;
     std::vector<std::uint64_t> cuts_;

@@ -5,8 +5,9 @@
  * and same statistics, for every workload profile and every
  * organization kind (this is the guarantee that lets the sweep skip
  * the org-independent work 18 times over). Also covers the disk
- * round-trip, recompute of corrupt files, fingerprint invalidation,
- * the record-index limit, and the NURAPID_DISTILL=0 fallback.
+ * round-trip, recompute of corrupt files (checksum included),
+ * fingerprint invalidation, the record-index and block-index limits,
+ * and the NURAPID_DISTILL=0 fallback.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +27,45 @@
 
 namespace nurapid {
 namespace {
+
+static_assert(sizeof(DistilledTrace::Event) == 16,
+              "an event is 16 bytes: block, victim, record, flags, gap");
+
+/** A distilled stream's three arrays, copied out of it. */
+struct StreamCopy
+{
+    std::vector<std::uint8_t> gaps;
+    std::vector<DistilledTrace::Event> events;
+    std::vector<DistilledTrace::SegmentFold> folds;
+
+    explicit StreamCopy(const DistilledTrace &t)
+        : gaps(t.gapData(), t.gapData() + t.size()),
+          events(t.eventData(), t.eventData() + t.eventCount()),
+          folds(t.foldData(), t.foldData() + t.cutList().size())
+    {}
+};
+
+/** True when @p t holds exactly the arrays of @p want. */
+::testing::AssertionResult
+sameStream(const DistilledTrace &t, const StreamCopy &want)
+{
+    if (t.size() != want.gaps.size() ||
+        t.eventCount() != want.events.size() ||
+        t.cutList().size() != want.folds.size()) {
+        return ::testing::AssertionFailure() << "array lengths differ";
+    }
+    if (std::memcmp(t.gapData(), want.gaps.data(), want.gaps.size()) != 0)
+        return ::testing::AssertionFailure() << "gap words differ";
+    if (std::memcmp(t.eventData(), want.events.data(),
+                    want.events.size() * sizeof(want.events[0])) != 0) {
+        return ::testing::AssertionFailure() << "events differ";
+    }
+    if (std::memcmp(t.foldData(), want.folds.data(),
+                    want.folds.size() * sizeof(want.folds[0])) != 0) {
+        return ::testing::AssertionFailure() << "segment folds differ";
+    }
+    return ::testing::AssertionSuccess();
+}
 
 /** The five organization kinds, one preset each. */
 std::vector<OrgSpec>
@@ -161,11 +201,8 @@ TEST(DistilledTrace, DiskRoundTripIsBitIdentical)
     EXPECT_FALSE(generated->isCut(1'000));
 
     // Keep copies, drop the in-memory entry, and force a file load.
-    const std::vector<std::uint16_t> gaps(
-        generated->gapData(), generated->gapData() + generated->size());
-    const std::vector<DistilledTrace::Event> events(
-        generated->eventData(),
-        generated->eventData() + generated->eventCount());
+    const StreamCopy copy(*generated);
+    EXPECT_GT(copy.folds[0].l1d_hits + copy.folds[1].l1d_hits, 0u);
     generated.reset();
     dropUnusedDistilledTraces();
 
@@ -174,12 +211,8 @@ TEST(DistilledTrace, DiskRoundTripIsBitIdentical)
     EXPECT_TRUE(loaded->fromFile())
         << "second process-equivalent request should load from disk";
     ASSERT_EQ(loaded->size(), kRecords);
-    ASSERT_EQ(loaded->eventCount(), events.size());
     EXPECT_EQ(loaded->cutList(), cuts);
-    EXPECT_EQ(std::memcmp(loaded->gapData(), gaps.data(),
-                          gaps.size() * sizeof(gaps[0])), 0);
-    EXPECT_EQ(std::memcmp(loaded->eventData(), events.data(),
-                          events.size() * sizeof(events[0])), 0);
+    EXPECT_TRUE(sameStream(*loaded, copy));
 
     ::unsetenv("NURAPID_TRACE_CACHE_DIR");
 }
@@ -209,11 +242,7 @@ TEST(DistilledTrace, CorruptFileIsRecomputedWithAWarning)
               std::string::npos);
     ASSERT_FALSE(original->fromFile());
     ASSERT_TRUE(std::filesystem::exists(path));
-    const std::vector<std::uint16_t> gaps(
-        original->gapData(), original->gapData() + original->size());
-    const std::vector<DistilledTrace::Event> events(
-        original->eventData(),
-        original->eventData() + original->eventCount());
+    const StreamCopy copy(*original);
     original.reset();
     dropUnusedDistilledTraces();
 
@@ -227,23 +256,16 @@ TEST(DistilledTrace, CorruptFileIsRecomputedWithAWarning)
         const std::string err = ::testing::internal::GetCapturedStderr();
         EXPECT_FALSE(t->fromFile()) << what;
         EXPECT_NE(err.find("recomputing"), std::string::npos) << what;
-        ASSERT_EQ(t->size(), kRecords) << what;
-        ASSERT_EQ(t->eventCount(), events.size()) << what;
-        EXPECT_EQ(std::memcmp(t->gapData(), gaps.data(),
-                              gaps.size() * sizeof(gaps[0])), 0)
-            << what;
-        EXPECT_EQ(std::memcmp(t->eventData(), events.data(),
-                              events.size() * sizeof(events[0])), 0)
-            << what;
+        EXPECT_TRUE(sameStream(*t, copy)) << what;
         t.reset();
         dropUnusedDistilledTraces();
     };
     // event_count sits after the 8-byte magic and the record count;
-    // 2^59 events of 32 bytes wrap a 64-bit length check to zero.
-    reloadAfter("event_count patched to 2^59", [&] {
+    // 2^60 events of 16 bytes wrap a 64-bit length check to zero.
+    reloadAfter("event_count patched to 2^60", [&] {
         std::fstream f(path, std::ios::in | std::ios::out |
                                  std::ios::binary);
-        const std::uint64_t huge = std::uint64_t{1} << 59;
+        const std::uint64_t huge = std::uint64_t{1} << 60;
         f.seekp(16);
         f.write(reinterpret_cast<const char *>(&huge), sizeof(huge));
     });
@@ -329,21 +351,14 @@ mispredictOnly(const DistilledTrace::Event &e)
         DT::kMispredict;
 }
 
-/** Non-event gap words carrying the folded-mispredict flag (an event
- *  record's gap word is its full 16-bit inst_gap). */
+/** Gap words carrying the folded-mispredict flag (an event record's
+ *  gap word is 0, so only non-event records count). */
 std::uint64_t
 flaggedGaps(const DistilledTrace &t)
 {
     std::uint64_t n = 0;
-    const DistilledTrace::Event *ev = t.eventData();
-    const DistilledTrace::Event *ev_end = ev + t.eventCount();
-    for (std::uint64_t k = 0; k < t.size(); ++k) {
-        if (ev != ev_end && ev->rec == k) {
-            ++ev;
-            continue;
-        }
+    for (std::uint64_t k = 0; k < t.size(); ++k)
         n += (t.gapData()[k] & DistilledTrace::kGapMispredict) ? 1 : 0;
-    }
     return n;
 }
 
@@ -351,8 +366,8 @@ std::uint64_t
 sumFoldedMispredicts(const DistilledTrace &t)
 {
     std::uint64_t n = 0;
-    for (std::uint64_t i = 0; i < t.eventCount(); ++i)
-        n += t.eventData()[i].d_misp;
+    for (std::size_t i = 0; i < t.cutList().size(); ++i)
+        n += t.foldData()[i].mispredicts;
     return n;
 }
 
@@ -384,8 +399,8 @@ TEST(DistilledTrace, EventStreamFoldsTheInertMajority)
         ASSERT_GT(ev[i].rec, ev[i - 1].rec) << "event " << i;
     EXPECT_EQ(ev[t->eventCount() - 1].rec, kRecords - 1)
         << "an event must be forced at the final cut record";
-    // gzip's gaps all fit in 15 bits and no run of folded mispredicts
-    // nears 0xffff, so only a cut makes a mispredict-only event.
+    // gzip's gaps all fit in 7 bits, so only a cut makes a
+    // mispredict-only event.
     for (std::uint64_t i = 0; i < t->eventCount(); ++i) {
         EXPECT_FALSE(mispredictOnly(ev[i]) && !t->isCut(ev[i].rec + 1))
             << "mispredict-only event at record " << ev[i].rec;
@@ -394,40 +409,131 @@ TEST(DistilledTrace, EventStreamFoldsTheInertMajority)
     EXPECT_EQ(flaggedGaps(*t), sumFoldedMispredicts(*t));
 }
 
+/** Events of @p t whose record's inst_gap exceeds @p gap. */
+std::uint64_t
+eventsWithGapAbove(const DistilledTrace &t, std::uint32_t gap)
+{
+    std::uint64_t n = 0;
+    for (std::uint64_t i = 0; i < t.eventCount(); ++i)
+        n += t.eventData()[i].inst_gap > gap ? 1 : 0;
+    return n;
+}
+
 TEST(DistilledTrace, WideGapsReplayIdenticallyToTheLiveLoop)
 {
-    // At 0.03 memory references per kinst the gaps span 16.7 k–50 k
-    // instructions, straddling the 0x8000 folded-mispredict flag. Wide
-    // gaps must become events (never read as a flag), narrow
+    // Gaps past the gap word's 7 bits must become events (never read
+    // as a folded-mispredict flag) carrying their full inst_gap, narrow
     // mispredict-only records must still fold, and the replay must
-    // stay bit-identical to the live loop.
-    WorkloadProfile prof = findProfile("gzip");
-    prof.name = "gzip-sparse";
-    prof.mem_refs_per_kinst = 0.03;
-    const SimLength len{4'000, 12'000};
+    // stay bit-identical to the live loop. The first case draws gaps
+    // of about 64-192 instructions, straddling the 127/128 fold limit;
+    // the second 16.7 k-50 k, past 0x7fff, so Event::inst_gap must
+    // carry all 16 bits (there only the branchless pointer-chase
+    // loads have gaps narrow enough to fold).
+    struct Case
+    {
+        const char *name;
+        double mem_refs_per_kinst;
+        std::uint32_t wide_gap;  //!< some events' gaps exceed this
+        bool folds_mispredicts;
+    };
+    for (const Case &c : {Case{"gzip-wide", 1000.0 / 128, 127, true},
+                          Case{"gzip-sparse", 0.03, 0x7fff, false}}) {
+        WorkloadProfile prof = findProfile("gzip");
+        prof.name = c.name;
+        prof.mem_refs_per_kinst = c.mem_refs_per_kinst;
+        const SimLength len{4'000, 12'000};
 
+        DistillParams params;
+        params.l1i = l1iOrg();
+        params.l1d = l1dOrg();
+        auto t =
+            sharedDistilledTrace(prof, 16'000, {4'000, 16'000}, params);
+        ASSERT_NE(t, nullptr);
+        EXPECT_GT(eventsWithGapAbove(*t, c.wide_gap), 0u) << c.name;
+        EXPECT_EQ(flaggedGaps(*t) > 0, c.folds_mispredicts) << c.name;
+        EXPECT_EQ(flaggedGaps(*t), sumFoldedMispredicts(*t)) << c.name;
+        t.reset();
+
+        for (const OrgSpec &org : {OrgSpec::baseline(),
+                                   OrgSpec::nurapidDefault()}) {
+            const Observed live = observe(org, prof, len, false);
+            const Observed dist = observe(org, prof, len, true);
+            expectSameObservation(live, dist,
+                                  prof.name + " / " + org.description());
+        }
+    }
+}
+
+TEST(DistilledTrace, RefusesBlockIndicesPastThirtyTwoBits)
+{
+    // Events hold addresses as 32-bit block indices. With 1-byte MSHR
+    // blocks the index is the address itself, and the profiles' data
+    // layers sit at 2 GiB and up, so some reference needs bit 32.
     DistillParams params;
     params.l1i = l1iOrg();
     params.l1d = l1dOrg();
-    auto t = sharedDistilledTrace(prof, 16'000, {4'000, 16'000}, params);
-    ASSERT_NE(t, nullptr);
-    std::uint64_t wide_events = 0;
-    for (std::uint64_t i = 0; i < t->eventCount(); ++i) {
-        const DistilledTrace::Event &e = t->eventData()[i];
-        wide_events += t->gapData()[e.rec] > DistilledTrace::kGapInstMask;
-    }
-    EXPECT_GT(wide_events, 0u);
-    EXPECT_GT(flaggedGaps(*t), 0u);
-    EXPECT_EQ(flaggedGaps(*t), sumFoldedMispredicts(*t));
-    t.reset();
+    params.mshr_block_bytes = 1;
+    EXPECT_EXIT(DistilledTrace(findProfile("mcf"), 20'000, {20'000},
+                               params),
+                ::testing::ExitedWithCode(1), "past the 32 bits");
+}
 
-    for (const OrgSpec &org : {OrgSpec::baseline(),
-                               OrgSpec::nurapidDefault()}) {
-        const Observed live = observe(org, prof, len, false);
-        const Observed dist = observe(org, prof, len, true);
-        expectSameObservation(live, dist,
-                              prof.name + " / " + org.description());
+TEST(DistilledTrace, FlippedPayloadByteIsCaughtByTheChecksum)
+{
+    // A bit flip inside a stored stream leaves its header, key and
+    // length intact; only the checksum can refuse it. The run that
+    // maps the damaged file must warn, recompute, and report the
+    // statistics of the run that wrote it.
+    WorkloadProfile prof = findProfile("gzip");
+    prof.name = "gzip-flip";
+    prof.seed += 4242;  // a stream no other test shares
+    const SimLength len{4'000, 12'000};
+    const OrgSpec org = OrgSpec::nurapidDefault();
+
+    std::string dir = ::testing::TempDir() + "nurapid_distill_XXXXXX";
+    ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+    ::setenv("NURAPID_TRACE_CACHE_DIR", dir.c_str(), 1);
+
+    const Observed original = observe(org, prof, len, true);
+    dropUnusedDistilledTraces();
+    std::string path;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        path = entry.path().string();
+    ASSERT_FALSE(path.empty()) << "the run stored no stream";
+
+    {
+        // The gap words start where the arrays behind them end:
+        // header counts are at bytes 8 (records) and 16 (events), and
+        // a warmup + measure run has two segment folds.
+        std::fstream f(path, std::ios::in | std::ios::out |
+                                 std::ios::binary);
+        std::uint64_t counts[2];
+        f.seekg(8);
+        f.read(reinterpret_cast<char *>(counts), sizeof(counts));
+        const std::uint64_t size = std::filesystem::file_size(path);
+        const std::uint64_t gaps_at = size -
+            2 * sizeof(DistilledTrace::SegmentFold) -
+            counts[1] * sizeof(DistilledTrace::Event) -
+            ((counts[0] + 15) & ~std::uint64_t{15});
+        const std::uint64_t at = gaps_at + counts[0] / 2;
+        char byte = 0;
+        f.seekg(static_cast<std::streamoff>(at));
+        f.read(&byte, 1);
+        byte ^= 1;
+        f.seekp(static_cast<std::streamoff>(at));
+        f.write(&byte, 1);
     }
+
+    ::testing::internal::CaptureStderr();
+    const Observed again = observe(org, prof, len, true);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("fails its checksum; recomputing"),
+              std::string::npos)
+        << err;
+    expectSameObservation(original, again, "flipped gap byte");
+    dropUnusedDistilledTraces();
+
+    ::unsetenv("NURAPID_TRACE_CACHE_DIR");
 }
 
 } // namespace

@@ -30,17 +30,17 @@ struct Reference
     double cpi;
     double penalty;
 
-    const std::uint16_t *
-    advance(double &c, std::uint64_t &insts, const std::uint16_t *g,
-            const std::uint16_t *end, double lim_c,
+    const std::uint8_t *
+    advance(double &c, std::uint64_t &insts, const std::uint8_t *g,
+            const std::uint8_t *end, double lim_c,
             std::uint64_t lim_i) const
     {
         while (g != end) {
-            const std::uint16_t w = *g++;
-            const std::uint32_t n = (w & 0x7fffu) + 1u;
+            const std::uint8_t w = *g++;
+            const std::uint32_t n = (w & 0x7fu) + 1u;
             insts += n;
             c += n * cpi;
-            if (w & 0x8000u)
+            if (w & 0x80u)
                 c += penalty;
             if (c >= lim_c || insts >= lim_i)
                 break;
@@ -58,7 +58,7 @@ struct Scenario
     unsigned penalty = 9;
     double c0 = 0;
     std::uint64_t insts0 = 0;
-    std::vector<std::uint16_t> words;
+    std::vector<std::uint8_t> words;
     std::uint64_t limit_seed = 0;
     bool unlimited = false;  //!< never set a limit
 };
@@ -112,8 +112,8 @@ replay(Clock &clock, const Scenario &s)
     std::uint64_t lim_i = kNoInstLimit;
     if (!s.unlimited)
         drawLimits(rng, c, insts, span, lim_c, lim_i);
-    const std::uint16_t *g = s.words.data();
-    const std::uint16_t *const end = g + s.words.size();
+    const std::uint8_t *g = s.words.data();
+    const std::uint8_t *const end = g + s.words.size();
     while (g != end) {
         g = clock.advance(c, insts, g, end, lim_c, lim_i);
         if (c >= lim_c || insts >= lim_i) {
@@ -147,17 +147,18 @@ expectIdentical(const Scenario &s, std::uint64_t id)
 }
 
 /** Gap words: mostly the short gaps real streams hold, some folded
- *  mispredicts, and (in some runs) inst_gaps >= 64. */
-std::vector<std::uint16_t>
+ *  mispredicts (bit 7), and (in some runs) inst_gaps of 64-127, the
+ *  widest a gap word holds, which have no table entry. */
+std::vector<std::uint8_t>
 drawWords(Rng &rng, std::size_t len, double wide_frac)
 {
-    std::vector<std::uint16_t> w(len);
+    std::vector<std::uint8_t> w(len);
     for (auto &x : w) {
         std::uint32_t gap = rng.chance(0.8) ? rng.below(8) : rng.below(64);
         if (rng.chance(wide_frac))
-            gap = 64 + rng.below(0x7fff - 64 + 1);
-        x = static_cast<std::uint16_t>(gap | (rng.chance(0.12) ? 0x8000u
-                                                               : 0u));
+            gap = 64 + rng.below(0x7f - 64 + 1);
+        x = static_cast<std::uint8_t>(gap | (rng.chance(0.12) ? 0x80u
+                                                              : 0u));
     }
     return w;
 }
@@ -228,7 +229,7 @@ TEST(InertClock, WidestTableGapsFillTheInstructionField)
         s.c0 = std::ldexp(1 + rng.uniform(), 12 + rng.below(30));
         s.words.assign(32 + rng.below(64), 63);
         for (auto &w : s.words)
-            w |= rng.chance(0.2) ? 0x8000u : 0u;
+            w |= rng.chance(0.2) ? 0x80u : 0u;
         s.unlimited = true;
         expectIdentical(s, i);
     }

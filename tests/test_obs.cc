@@ -47,10 +47,20 @@ operator new[](std::size_t n)
     return ::operator new(n);
 }
 
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+// Out of line, so gcc never inlines std::free into a delete site and
+// then pairs it with the operator new above (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void *p) noexcept { std::free(p); }
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void *p) noexcept { std::free(p); }
+[[gnu::noinline]] void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace nurapid {
 namespace {
