@@ -7,29 +7,32 @@
 # PARENT and CHANGE are run-cache files (NURAPID_RUN_CACHE) written by
 # two builds over the same sweep. Each is printed with
 # `nurapid_sim --dump-cache` (wall time zeroed, sorted by key); then
-# every `FIELD=value;` pair named on the command line and the
-# `schema=value;` pair are stripped from every key, and the two dumps
-# are diffed. A field is matched by its whole name: `repl` strips
-# `repl=0;` but not `drepl=lru;`.
+# the `digest=value;` and `schema=value;` pairs and every
+# `FIELD=value;` pair named on the command line are stripped from every
+# key, and the two dumps are diffed. The model digest always differs
+# between two builds of different sources, and `schema=` led the keys
+# of builds that predate the digest. A field is matched by its whole
+# name: `repl` strips `repl=0;` but not `drepl=lru;`.
 #
 # Prints the entry count of each side. Exits 0 when the stripped dumps
 # are byte-equal; otherwise prints every stripped key whose entry
 # differs (or exists on one side only) and exits 1.
 #
-# A binary only loads caches of its own kRunCacheSchema, so across a
-# schema bump point each side at the build that wrote it:
+# A binary only loads caches written under its own model digest, so
+# two builds' caches always need each side pointed at its own build:
 #   PARENT_SIM  nurapid_sim that dumps PARENT
 #               (default: build/src/tools/nurapid_sim)
 #   CHANGE_SIM  nurapid_sim that dumps CHANGE (default: the same)
 #
 # Example (a change that deleted the repl and repl_seed key fields):
 #   PARENT_SIM=../parent/build/src/tools/nurapid_sim \
+#   CHANGE_SIM=build/src/tools/nurapid_sim \
 #       scripts/cache_identity.sh parent.json change.json repl repl_seed
 
 set -eu
 
 if [ $# -lt 2 ]; then
-    sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,31p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 parent=$1
@@ -47,10 +50,11 @@ for field in "$@"; do
     esac
 done
 
-# Drops "schema=...;" and each "FIELD=...;" from the key, the text
-# before the first tab of a dump line; the metrics pass through.
+# Drops "digest=...;", "schema=...;" and each "FIELD=...;" from the
+# key, the text before the first tab of a dump line; the metrics pass
+# through.
 strip() {
-    awk -v fields="schema $*" '
+    awk -v fields="digest schema $*" '
         BEGIN { n = split(fields, drop, " ") }
         {
             tab = index($0, "\t")
@@ -82,7 +86,7 @@ echo "entries: parent $parent_n, change $change_n"
 
 if cmp -s "$tmp/parent" "$tmp/change"; then
     echo "identical: all $parent_n entries byte-equal" \
-         "(ignoring schema${*:+ $*})"
+         "(ignoring digest schema${*:+ $*})"
     exit 0
 fi
 

@@ -19,9 +19,10 @@
 # --repeat N (default 3) runs every bench binary N times and records
 # the *median* per-binary wall_ms, taming host noise in the tracked
 # timings. The shared run cache is snapshotted before each binary's
-# first run and restored before every repeat, so all N runs redo the
-# same simulation work instead of hitting the first run's cache
-# entries; repeats past the first print nothing.
+# first run and restored before every repeat, and the .dtc files the
+# first run wrote are deleted before every repeat, so all N runs redo
+# the same simulation and distillation work instead of reusing the
+# first run's results; repeats past the first print nothing.
 #
 # Environment (forwarded to the binaries' run engine):
 #   NURAPID_JOBS             worker threads per binary (default: all cores)
@@ -35,9 +36,12 @@
 #
 # Besides the per-table stdout, the sweep writes BUILD_DIR/BENCH_sweep.json
 # with machine-readable timings: per-binary and total wall milliseconds,
-# whether the sweep started cold (no pre-existing cache file), and the
+# each binary's first-run engine footer (`wall_s`, its own wall clock,
+# and `sim_s`, the summed run time of what it simulated, so sim_s /
+# wall_s is its core utilisation), whether the sweep started cold (no
+# pre-existing run-cache file; `trace_cold`: no .dtc file), and the
 # unique-configuration count in the resulting run cache. Timings use
-# `date +%s%N` (this container has no /usr/bin/time or bc).
+# `date +%s%N` (no /usr/bin/time or bc needed).
 #
 # The CMake target `regen-bench` invokes this script with BUILD_DIR set.
 
@@ -61,7 +65,7 @@ while [ $# -gt 0 ]; do
       --quiet)
         quiet=1; shift ;;
       -h|--help)
-        sed -n '2,41p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
+        sed -n '2,46p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
       *)
         build_dir="$1"; shift ;;
     esac
@@ -91,6 +95,8 @@ echo "jobs per binary: ${NURAPID_JOBS:-auto}"
 NURAPID_TRACE_CACHE_DIR="${NURAPID_TRACE_CACHE_DIR:-$build_dir/trace_cache}"
 export NURAPID_TRACE_CACHE_DIR
 mkdir -p "$NURAPID_TRACE_CACHE_DIR"
+trace_cold=true
+[ -n "$(find "$NURAPID_TRACE_CACHE_DIR" -name '*.dtc')" ] && trace_cold=false
 
 benches="bench_table1_config bench_table2_energies bench_table3_workloads \
 bench_table4_latencies bench_fig4_placement bench_fig5_policies \
@@ -114,6 +120,11 @@ for b in $benches; do
         rm -f "$snap"
         [ -s "$NURAPID_RUN_CACHE" ] && cp "$NURAPID_RUN_CACHE" "$snap"
     fi
+    # .dtc files newer than this marker are the ones this binary's runs
+    # wrote (a rename keeps the temp file's write time); repeats delete
+    # them so that each one distills again.
+    marker="$NURAPID_TRACE_CACHE_DIR/.repeat-marker"
+    touch "$marker"
     times_ms=""
     i=1
     while [ "$i" -le "$repeat" ]; do
@@ -124,10 +135,14 @@ for b in $benches; do
                 rm -f "$NURAPID_RUN_CACHE"
             fi
         fi
+        if [ "$i" -gt 1 ]; then
+            find "$NURAPID_TRACE_CACHE_DIR" -name '*.dtc' -newer "$marker" \
+                -delete
+        fi
         b_start_ns=$(date +%s%N)
         if [ "$i" -gt 1 ]; then
             "$build_dir/bench/$b" > /dev/null
-        elif [ "$quiet" -eq 1 ]; then
+        else
             # Capture rather than pipe, so the bench's exit status (a
             # failed invariant check exits 1) is not lost to tail.
             if ! out=$("$build_dir/bench/$b"); then
@@ -135,20 +150,28 @@ for b in $benches; do
                 echo "error: $b exited non-zero" >&2
                 exit 1
             fi
-            printf '%s\n' "$out" | tail -n 2
-        else
-            "$build_dir/bench/$b"
+            if [ "$quiet" -eq 1 ]; then
+                printf '%s\n' "$out" | tail -n 2
+            else
+                printf '%s\n' "$out"
+            fi
         fi
         b_end_ns=$(date +%s%N)
         times_ms="$times_ms $(( (b_end_ns - b_start_ns) / 1000000 ))"
         i=$((i + 1))
     done
     [ -n "$snap" ] && rm -f "$snap"
+    rm -f "$marker"
+    # The first run's footer: "Wall-clock X s: N runs simulated (Y s)".
+    footer=$(printf '%s\n' "$out" | sed -n \
+        's/^Wall-clock \([0-9.]*\) s: [0-9]* runs simulated (\([0-9.]*\) s).*/\1 \2/p')
+    wall_s=${footer% *}
+    sim_s=${footer#* }
     b_ms=$(printf '%s\n' $times_ms | sort -n | awk \
         '{ v[NR] = $1 } END { print v[int((NR + 1) / 2)] }')
     [ -n "$binaries_json" ] && binaries_json="$binaries_json,"
     binaries_json="$binaries_json
-    {\"name\": \"$b\", \"wall_ms\": $b_ms}"
+    {\"name\": \"$b\", \"wall_ms\": $b_ms, \"wall_s\": ${wall_s:-null}, \"sim_s\": ${sim_s:-null}}"
 done
 end_ns=$(date +%s%N)
 total_ms=$(( (end_ns - start_ns) / 1000000 ))
@@ -168,6 +191,7 @@ cat > "$sweep_json" <<EOF
   "host_cores": "$cores",
   "host_note": "wall-clock comparable only to sweeps from the same host state; see EXPERIMENTS.md",
   "cold": $cold,
+  "trace_cold": $trace_cold,
   "jobs": "${NURAPID_JOBS:-auto}",
   "sim_scale": "${NURAPID_SIM_SCALE:-1}",
   "repeat": $repeat,

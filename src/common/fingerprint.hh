@@ -11,6 +11,10 @@
  * Doubles are rendered with %.17g so the key is exact for any IEEE-754
  * value: two configs differing in the 17th significant digit fingerprint
  * differently.
+ *
+ * Every persistent key (run cache, .dtc streams) leads with
+ * modelDigest(), so a result is a function of its inputs and of the
+ * model source code: any source edit retires every cached result.
  */
 
 #ifndef NURAPID_COMMON_FINGERPRINT_HH
@@ -19,8 +23,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 
 namespace nurapid {
+
+/** The first 16 hex digits of a SHA-256 over every .cc/.hh under src/
+ *  (path and contents), generated at build time by
+ *  cmake/model_digest.cmake. */
+const char *modelDigest();
 
 class Fingerprint
 {
@@ -75,11 +85,14 @@ class Fingerprint
     const std::string &key() const { return key_; }
 
     /** 64-bit FNV-1a of the key, as a 16-digit hex string. */
-    std::string
-    digest() const
+    std::string digest() const { return hash(key_); }
+
+    /** 64-bit FNV-1a of @p text, as a 16-digit hex string. */
+    static std::string
+    hash(std::string_view text)
     {
         std::uint64_t h = 0xcbf29ce484222325ULL;
-        for (unsigned char c : key_) {
+        for (unsigned char c : text) {
             h ^= c;
             h *= 0x100000001b3ULL;
         }

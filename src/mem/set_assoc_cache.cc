@@ -15,6 +15,15 @@ CacheOrg::numBlocks() const
     return static_cast<std::uint32_t>(capacity_bytes / block_bytes);
 }
 
+void
+fingerprintCacheOrg(Fingerprint &fp, const char *tag, const CacheOrg &org)
+{
+    fp.field(tag, org.name);
+    fp.field("capacity", org.capacity_bytes);
+    fp.field("assoc", org.assoc);
+    fp.field("block", org.block_bytes);
+}
+
 SetAssocCache::SetAssocCache(const CacheOrg &org)
     : organization(org),
       tags(org.name + ":", org.capacity_bytes, org.assoc, org.block_bytes),

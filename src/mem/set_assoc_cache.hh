@@ -27,6 +27,7 @@
 #include <functional>
 #include <string>
 
+#include "common/fingerprint.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/tag_store.hh"
@@ -45,6 +46,11 @@ struct CacheOrg
     std::uint32_t numSets() const;
     std::uint32_t numBlocks() const;
 };
+
+/** Appends every CacheOrg field, led by "@p tag=name;": the one field
+ *  list that the run key and the distilled-stream key share. */
+void fingerprintCacheOrg(Fingerprint &fp, const char *tag,
+                         const CacheOrg &org);
 
 class SetAssocCache
 {

@@ -27,15 +27,6 @@ fingerprintMemory(Fingerprint &fp, const MainMemory::Params &m)
 }
 
 void
-fingerprintCacheOrg(Fingerprint &fp, const char *tag, const CacheOrg &org)
-{
-    fp.field(tag, org.name);
-    fp.field("capacity", org.capacity_bytes);
-    fp.field("assoc", org.assoc);
-    fp.field("block", org.block_bytes);
-}
-
-void
 fingerprintSpec(Fingerprint &fp, const OrgSpec &spec)
 {
     fp.field("org", spec.description());
@@ -96,35 +87,6 @@ fingerprintSpec(Fingerprint &fp, const OrgSpec &spec)
     }
 }
 
-void
-fingerprintProfile(Fingerprint &fp, const WorkloadProfile &p)
-{
-    fp.field("workload", p.name);
-    fp.field("fp", p.fp);
-    fp.field("high_load", p.high_load);
-    fp.field("base_cpi", p.base_cpi);
-    fp.field("mem_refs_per_kinst", p.mem_refs_per_kinst);
-    fp.field("store_frac", p.store_frac);
-    fp.field("seq_frac", p.seq_frac);
-    fp.field("dep_frac", p.dep_frac);
-    fp.field("critical_frac", p.critical_frac);
-    fp.field("drift_period", p.drift_period);
-    fp.field("ifetch_refs_per_kinst", p.ifetch_refs_per_kinst);
-    fp.field("code_bytes", p.code_bytes);
-    fp.field("branches_per_kinst", p.branches_per_kinst);
-    fp.field("hard_branch_frac", p.hard_branch_frac);
-    fp.field("hard_branch_bias", p.hard_branch_bias);
-    fp.field("footprint", p.footprint_bytes);
-    fp.field("seed", p.seed);
-    fp.field("layers", static_cast<std::uint64_t>(p.layers.size()));
-    for (const auto &layer : p.layers) {
-        fp.field("layer.bytes", layer.bytes);
-        fp.field("layer.weight", layer.weight);
-        fp.field("layer.segments", layer.segments);
-        fp.field("layer.colliding", layer.colliding_segments);
-    }
-}
-
 Json
 energyToJson(const EnergyReport &e)
 {
@@ -158,7 +120,7 @@ fingerprintRun(const OrgSpec &spec, const WorkloadProfile &profile,
                const SimLength &length)
 {
     Fingerprint fp;
-    fp.field("schema", kRunCacheSchema);
+    fp.field("digest", modelDigest());
     fingerprintSpec(fp, spec);
     fingerprintProfile(fp, profile);
     fp.field("warmup", length.warmup_records);
@@ -292,10 +254,10 @@ RunCache::mergeLocked(const std::string &path)
              err.c_str());
         return 0;
     }
-    if (root.get("schema").asUint() != kRunCacheSchema) {
-        warnOnce("run cache %s: schema %llu != %u; ignoring", path.c_str(),
-             static_cast<unsigned long long>(root.get("schema").asUint()),
-             kRunCacheSchema);
+    if (root.get("digest").asString() != modelDigest()) {
+        warnOnce("run cache %s: written by model digest '%s', not %s; "
+                 "ignoring", path.c_str(),
+                 root.get("digest").asString().c_str(), modelDigest());
         return 0;
     }
     std::size_t loaded = 0;
@@ -364,7 +326,7 @@ RunCache::saveFile(const std::string &path)
     mergeLocked(path);
 
     Json root = Json::object();
-    root.set("schema", Json(static_cast<std::uint64_t>(kRunCacheSchema)));
+    root.set("digest", Json(modelDigest()));
     Json ents = Json::object();
     for (const auto &kv : entries) {
         Json e = Json::object();

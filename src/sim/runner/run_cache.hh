@@ -10,14 +10,16 @@
  * share one simulation of the repeated baseline suites instead of
  * each recomputing them from scratch.
  *
- * The fingerprint covers every input that determines the result: all
- * parameter fields of the active organization kind (not just the
- * description string), every field of the workload profile including
- * its layer structure and seed, the warmup/measure lengths, and a
- * schema version bumped whenever the simulator's behavior or the
- * RunMetrics layout changes. The full key string is stored alongside
- * each entry and verified on lookup, so a digest collision degrades to
- * a cache miss, never to a wrong result.
+ * The key leads with modelDigest(), the build-time hash of every
+ * .cc/.hh under src/, so any source edit retires every cached result;
+ * no version number is kept by hand. The rest covers every input the
+ * source does not fix: all parameter fields of the active organization
+ * kind (not just the description string), every field of the workload
+ * profile (fingerprintProfile) and the warmup/measure lengths. A cache
+ * file carries the digest at its root and is ignored whole when it
+ * differs. The full key string is stored alongside each entry and
+ * verified on lookup, so a digest collision degrades to a cache miss,
+ * never to a wrong result.
  */
 
 #ifndef NURAPID_SIM_RUNNER_RUN_CACHE_HH
@@ -33,9 +35,6 @@
 #include "sim/system.hh"
 
 namespace nurapid {
-
-/** Bump when simulator behavior changes invalidate old cache files. */
-inline constexpr std::uint32_t kRunCacheSchema = 3;
 
 /** Canonical key + digest identifying one run's inputs. */
 struct RunKey
@@ -83,7 +82,8 @@ class RunCache
     /**
      * Merges entries from @p path into this cache (in-memory entries
      * win). Silently ignores a missing file; warns and ignores a
-     * malformed or schema-mismatched one. Returns entries loaded.
+     * malformed one or one from another model digest. Returns entries
+     * loaded.
      */
     std::size_t loadFile(const std::string &path);
 

@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <list>
-#include <mutex>
 #include <string>
 #include <string_view>
 
@@ -18,7 +16,7 @@
 #include "common/bitops.hh"
 #include "common/logging.hh"
 #include "cpu/branch_predictor.hh"
-#include "trace/packed_trace.hh"
+#include "trace/stream_registry.hh"
 
 namespace nurapid {
 
@@ -169,8 +167,7 @@ DistilledTrace::DistilledTrace(const WorkloadProfile &profile,
     nevents = event_buf.size();
 }
 
-DistilledTrace::DistilledTrace(const WorkloadProfile &, std::uint64_t,
-                               const std::vector<std::uint64_t> &cuts,
+DistilledTrace::DistilledTrace(const std::vector<std::uint64_t> &cuts,
                                const DistillParams &params, void *base,
                                std::size_t len, std::size_t gaps_offset,
                                std::size_t events_offset,
@@ -217,34 +214,19 @@ distillFingerprint(const WorkloadProfile &profile, std::uint64_t seed_mix,
                    const std::vector<std::uint64_t> &cuts,
                    const DistillParams &p)
 {
-    // Format version: bump whenever the event layout or fold semantics
-    // change, so stale .dtc files can never replay the old scheme.
-    constexpr std::uint64_t kDistillFormatVersion = 3;
-
     Fingerprint fp;
-    fp.field("distill_format", kDistillFormatVersion);
-    fp.field("trace", packedTraceFingerprint(profile, seed_mix).key());
-    auto cache = [&fp](const char *prefix, const CacheOrg &org) {
-        char nm[48];
-        std::snprintf(nm, sizeof(nm), "%s.capacity", prefix);
-        fp.field(nm, org.capacity_bytes);
-        std::snprintf(nm, sizeof(nm), "%s.assoc", prefix);
-        fp.field(nm, org.assoc);
-        std::snprintf(nm, sizeof(nm), "%s.block", prefix);
-        fp.field(nm, org.block_bytes);
-    };
-    cache("l1i", p.l1i);
-    cache("l1d", p.l1d);
+    fp.field("digest", modelDigest());
+    fingerprintProfile(fp, profile);
+    fp.field("seed_mix", seed_mix);
+    fingerprintCacheOrg(fp, "l1i", p.l1i);
+    fingerprintCacheOrg(fp, "l1d", p.l1d);
     fp.field("bp_entries", p.bp_entries);
     fp.field("bp_history_bits", p.bp_history_bits);
     fp.field("mshr_block_bytes", p.mshr_block_bytes);
     fp.field("records", records);
-    fp.field("cut_count", std::uint64_t{cuts.size()});
-    for (std::size_t i = 0; i < cuts.size(); ++i) {
-        char nm[32];
-        std::snprintf(nm, sizeof(nm), "cut%zu", i);
-        fp.field(nm, cuts[i]);
-    }
+    fp.field("cuts", std::uint64_t{cuts.size()});
+    for (std::uint64_t c : cuts)
+        fp.field("cut", c);
     return fp;
 }
 
@@ -322,33 +304,35 @@ gapsOffset(std::uint64_t key_bytes)
                      static_cast<std::size_t>(key_bytes));
 }
 
-std::string
-distillCacheDir()
+/** Bytes of @p fp's leading "digest=...;" field. */
+std::size_t
+digestFieldBytes(const Fingerprint &fp)
 {
-    const char *s = std::getenv("NURAPID_TRACE_CACHE_DIR");
-    return s != nullptr ? std::string(s) : std::string();
+    return fp.key().find(';') + 1;
 }
 
+/** @p fp's file under NURAPID_TRACE_CACHE_DIR, or "" when it is unset.
+ *  The name hashes the key past its digest field, so a rebuilt binary
+ *  overwrites the previous build's file of a stream instead of adding
+ *  one beside it. */
 std::string
-distillFilePath(const std::string &dir, const WorkloadProfile &p,
-                const Fingerprint &fp)
+distillFilePath(const WorkloadProfile &p, const Fingerprint &fp)
 {
-    return dir + "/" + p.name + "-" + fp.digest() + ".dtc";
+    const char *dir = std::getenv("NURAPID_TRACE_CACHE_DIR");
+    if (dir == nullptr || *dir == '\0')
+        return {};
+    const std::string_view key = fp.key();
+    return std::string(dir) + "/" + p.name + "-" +
+        Fingerprint::hash(key.substr(digestFieldBytes(fp))) + ".dtc";
 }
 
 std::shared_ptr<const DistilledTrace>
-loadDistilledFile(const WorkloadProfile &profile, std::uint64_t records,
+loadDistilledFile(const std::string &path, const Fingerprint &fp,
+                  std::uint64_t records,
                   const std::vector<std::uint64_t> &cuts,
-                  const DistillParams &params, std::uint64_t seed_mix)
+                  const DistillParams &params)
 {
-    const std::string dir = distillCacheDir();
-    if (dir.empty())
-        return nullptr;
-
-    const Fingerprint fp =
-        distillFingerprint(profile, seed_mix, records, cuts, params);
-    const std::string path = distillFilePath(dir, profile, fp);
-    const int fd = ::open(path.c_str(), O_RDONLY);
+    const int fd = path.empty() ? -1 : ::open(path.c_str(), O_RDONLY);
     if (fd < 0)
         return nullptr;  // not cached yet: the normal cold case
 
@@ -369,13 +353,24 @@ loadDistilledFile(const WorkloadProfile &profile, std::uint64_t records,
 
     DistillFileHeader hdr;
     std::memcpy(&hdr, base, sizeof(hdr));
+    const char *stored_key = static_cast<const char *>(base) + sizeof(hdr);
+    const std::size_t digest_bytes = digestFieldBytes(fp);
     const char *bad = nullptr;
     std::size_t goff = 0;
     std::size_t eoff = 0;
     std::size_t foff = 0;
-    if (std::memcmp(hdr.magic, kDistillFileMagic, sizeof(hdr.magic)) != 0 ||
-        hdr.record_count != records || hdr.key_bytes != fp.key().size()) {
-        bad = "has a stale or foreign header";
+    if (std::memcmp(hdr.magic, kDistillFileMagic, sizeof(hdr.magic)) != 0) {
+        bad = "has a foreign header";
+    } else if (len >= sizeof(hdr) + digest_bytes &&
+               std::memcmp(stored_key, fp.key().data(), digest_bytes) !=
+                   0) {
+        // Another build's copy of this stream: the normal cold case,
+        // recomputed and overwritten without a warning.
+        ::munmap(base, len);
+        return nullptr;
+    } else if (hdr.record_count != records ||
+               hdr.key_bytes != fp.key().size()) {
+        bad = "has a foreign header";
     } else if (hdr.event_count > hdr.record_count) {
         // At most one event per record; this also keeps the length
         // product below from wrapping.
@@ -386,10 +381,9 @@ loadDistilledFile(const WorkloadProfile &profile, std::uint64_t records,
         foff = eoff + hdr.event_count * sizeof(DistilledTrace::Event);
         if (len < foff + cuts.size() * sizeof(DistilledTrace::SegmentFold)) {
             bad = "is truncated";
-        } else if (std::memcmp(static_cast<const char *>(base) +
-                                   sizeof(hdr),
-                               fp.key().data(), fp.key().size()) != 0) {
-            // The stored key must match byte for byte — the digest in
+        } else if (std::memcmp(stored_key, fp.key().data(),
+                               fp.key().size()) != 0) {
+            // The stored key must match byte for byte — the hash in
             // the file name already matched, this guards collisions.
             bad = "has a colliding key";
         }
@@ -400,8 +394,8 @@ loadDistilledFile(const WorkloadProfile &profile, std::uint64_t records,
         return nullptr;
     }
     auto t = std::make_shared<const DistilledTrace>(
-        profile, seed_mix, cuts, params, base, len, goff, eoff, foff,
-        records, hdr.event_count);
+        cuts, params, base, len, goff, eoff, foff, records,
+        hdr.event_count);
     if (payloadChecksum(*t) != hdr.checksum) {
         warn("distilled trace %s fails its checksum; recomputing",
              path.c_str());
@@ -410,19 +404,14 @@ loadDistilledFile(const WorkloadProfile &profile, std::uint64_t records,
     return t;
 }
 
-/** Persists @p t; failures (missing dir, no space) are ignored. */
+/** Persists @p t to @p path under key @p fp; failures (no path, missing
+ *  dir, no space) are ignored. */
 void
-storeDistilledFile(const DistilledTrace &t, const WorkloadProfile &profile,
-                   const std::vector<std::uint64_t> &cuts,
-                   const DistillParams &params, std::uint64_t seed_mix)
+storeDistilledFile(const DistilledTrace &t, const std::string &path,
+                   const Fingerprint &fp)
 {
-    const std::string dir = distillCacheDir();
-    if (dir.empty())
+    if (path.empty())
         return;
-
-    const Fingerprint fp =
-        distillFingerprint(profile, seed_mix, t.size(), cuts, params);
-    const std::string path = distillFilePath(dir, profile, fp);
     char suffix[32];
     std::snprintf(suffix, sizeof(suffix), ".tmp.%ld",
                   static_cast<long>(::getpid()));
@@ -442,6 +431,7 @@ storeDistilledFile(const DistilledTrace &t, const WorkloadProfile &profile,
     const char pad[16] = {};
     const std::size_t goff = gapsOffset(hdr.key_bytes);
     const auto gap_bytes = static_cast<std::size_t>(t.size());
+    const std::size_t folds = t.cutList().size();
     const std::size_t head_pad = goff - sizeof(hdr) - fp.key().size();
     const std::size_t mid_pad = alignUp16(goff + gap_bytes) -
         (goff + gap_bytes);
@@ -454,7 +444,7 @@ storeDistilledFile(const DistilledTrace &t, const WorkloadProfile &profile,
         std::fwrite(t.eventData(), sizeof(DistilledTrace::Event),
                     t.eventCount(), f) == t.eventCount() &&
         std::fwrite(t.foldData(), sizeof(DistilledTrace::SegmentFold),
-                    cuts.size(), f) == cuts.size();
+                    folds, f) == folds;
     if (std::fclose(f) != 0 || !ok) {
         std::remove(tmp.c_str());
         return;
@@ -463,23 +453,10 @@ storeDistilledFile(const DistilledTrace &t, const WorkloadProfile &profile,
         std::remove(tmp.c_str());
 }
 
-struct RegistryEntry
-{
-    std::string key;  //!< full fingerprint key
-    std::shared_ptr<const DistilledTrace> buf;
-    std::mutex gen_mutex;  //!< serializes generation per entry only
-};
-
-struct Registry
-{
-    std::mutex mtx;  //!< guards the entry list, never generation
-    std::list<RegistryEntry> entries;
-};
-
-Registry &
+StreamRegistry<DistilledTrace> &
 registry()
 {
-    static Registry r;
+    static StreamRegistry<DistilledTrace> r;
     return r;
 }
 
@@ -492,59 +469,25 @@ sharedDistilledTrace(const WorkloadProfile &profile, std::uint64_t records,
 {
     const Fingerprint fp =
         distillFingerprint(profile, seed_mix, records, cuts, params);
-
-    Registry &reg = registry();
-    RegistryEntry *entry = nullptr;
-    {
-        std::lock_guard<std::mutex> lock(reg.mtx);
-        for (RegistryEntry &e : reg.entries) {
-            if (e.key == fp.key()) {
-                entry = &e;
-                break;
+    return registry().get(
+        fp.key(), [&](const std::shared_ptr<const DistilledTrace> &cur) {
+            if (cur)
+                return cur;
+            const std::string path = distillFilePath(profile, fp);
+            auto t = loadDistilledFile(path, fp, records, cuts, params);
+            if (!t) {
+                t = std::make_shared<const DistilledTrace>(
+                    profile, records, cuts, params, seed_mix);
+                storeDistilledFile(*t, path, fp);
             }
-        }
-        if (!entry) {
-            reg.entries.emplace_back();
-            entry = &reg.entries.back();
-            entry->key = fp.key();
-        }
-    }
-
-    // Distillation happens outside the registry lock so concurrent
-    // workers only serialize against requests for the same stream.
-    std::lock_guard<std::mutex> lock(entry->gen_mutex);
-    if (!entry->buf) {
-        entry->buf =
-            loadDistilledFile(profile, records, cuts, params, seed_mix);
-        if (!entry->buf) {
-            entry->buf = std::make_shared<const DistilledTrace>(
-                profile, records, cuts, params, seed_mix);
-            storeDistilledFile(*entry->buf, profile, cuts, params,
-                               seed_mix);
-        }
-    }
-    return entry->buf;
+            return t;
+        });
 }
 
 std::size_t
 dropUnusedDistilledTraces()
 {
-    Registry &reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mtx);
-    std::size_t freed = 0;
-    for (auto it = reg.entries.begin(); it != reg.entries.end();) {
-        std::unique_lock<std::mutex> gen_lock(it->gen_mutex,
-                                              std::try_to_lock);
-        if (gen_lock.owns_lock() &&
-            (!it->buf || it->buf.use_count() == 1)) {
-            gen_lock.unlock();
-            it = reg.entries.erase(it);
-            ++freed;
-        } else {
-            ++it;
-        }
-    }
-    return freed;
+    return registry().dropUnused();
 }
 
 bool

@@ -50,10 +50,12 @@
  * asserts bit-identity against the live loop for every workload and
  * organization kind. The distiller reads SyntheticTrace directly in
  * one pass, so a distilled run never materializes packed records.
- * Buffers are shared process-wide per fingerprint (profile, seed mix,
- * L1 geometry, predictor config, MSHR sector, segment cuts) and
- * persisted to NURAPID_TRACE_CACHE_DIR as mmap-loaded .dtc files; a
- * file that fails validation is recomputed with a warning.
+ * Buffers are shared process-wide per fingerprint (model digest,
+ * profile, seed mix, L1 geometry, predictor config, MSHR sector,
+ * segment cuts) and persisted to NURAPID_TRACE_CACHE_DIR as
+ * mmap-loaded .dtc files; another build's file is silently recomputed
+ * and overwritten, and any other file that fails validation is
+ * recomputed with a warning.
  * NURAPID_DISTILL=0 falls back to the live per-record loop.
  */
 
@@ -161,8 +163,7 @@ class DistilledTrace
                    const DistillParams &params, std::uint64_t seed_mix = 0);
 
     /** Internal (disk cache): adopts an mmap'd .dtc file. */
-    DistilledTrace(const WorkloadProfile &profile, std::uint64_t seed_mix,
-                   const std::vector<std::uint64_t> &cuts,
+    DistilledTrace(const std::vector<std::uint64_t> &cuts,
                    const DistillParams &params, void *map_base,
                    std::size_t map_len, std::size_t gaps_offset,
                    std::size_t events_offset, std::size_t folds_offset,
@@ -213,9 +214,10 @@ class DistilledTrace
     std::size_t map_len = 0;
 };
 
-/** Canonical fingerprint of one distilled stream: format version, the
- *  full packed-trace key, both L1 organizations, the predictor
- *  configuration, the MSHR sector size, and the segment cuts. */
+/** Canonical fingerprint of one distilled stream: modelDigest(), the
+ *  profile (fingerprintProfile) and seed mix, both L1 organizations
+ *  (fingerprintCacheOrg), the predictor configuration, the MSHR sector
+ *  size, the record count and the segment cuts. */
 Fingerprint distillFingerprint(const WorkloadProfile &profile,
                                std::uint64_t seed_mix,
                                std::uint64_t records,

@@ -1,12 +1,19 @@
 #include "trace/packed_trace.hh"
 
-#include <cstdio>
-#include <list>
-#include <mutex>
-
-#include "common/fingerprint.hh"
+#include "trace/stream_registry.hh"
 
 namespace nurapid {
+
+namespace {
+
+StreamRegistry<PackedTrace> &
+registry()
+{
+    static StreamRegistry<PackedTrace> r;
+    return r;
+}
+
+} // namespace
 
 PackedTrace::PackedTrace(const WorkloadProfile &profile,
                          std::uint64_t records, std::uint64_t seed_mix)
@@ -45,163 +52,29 @@ PackedTrace::generate(std::uint64_t upto)
     }
 }
 
-namespace {
-
-bool
-sameLayers(const std::vector<WorkingSetLayer> &a,
-           const std::vector<WorkingSetLayer> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a[i].bytes != b[i].bytes || a[i].weight != b[i].weight ||
-            a[i].segments != b[i].segments ||
-            a[i].colliding_segments != b[i].colliding_segments) {
-            return false;
-        }
-    }
-    return true;
-}
-
-/** Field-for-field equality over everything the generator reads. */
-bool
-sameProfile(const WorkloadProfile &a, const WorkloadProfile &b)
-{
-    return a.name == b.name && a.seed == b.seed &&
-        a.mem_refs_per_kinst == b.mem_refs_per_kinst &&
-        a.store_frac == b.store_frac && a.seq_frac == b.seq_frac &&
-        a.dep_frac == b.dep_frac && a.critical_frac == b.critical_frac &&
-        a.drift_period == b.drift_period &&
-        a.ifetch_refs_per_kinst == b.ifetch_refs_per_kinst &&
-        a.code_bytes == b.code_bytes &&
-        a.branches_per_kinst == b.branches_per_kinst &&
-        a.hard_branch_frac == b.hard_branch_frac &&
-        a.hard_branch_bias == b.hard_branch_bias &&
-        a.footprint_bytes == b.footprint_bytes &&
-        sameLayers(a.layers, b.layers);
-}
-
-/** Generator version, part of every distilled-stream key: bump it
- *  whenever SyntheticTrace's output for a fixed profile changes. */
-constexpr std::uint64_t kTraceFormatVersion = 2;
-
-} // namespace
-
-Fingerprint
-packedTraceFingerprint(const WorkloadProfile &p, std::uint64_t seed_mix)
-{
-    Fingerprint fp;
-    fp.field("format", kTraceFormatVersion);
-    fp.field("name", p.name);
-    fp.field("seed", p.seed);
-    fp.field("mem_refs_per_kinst", p.mem_refs_per_kinst);
-    fp.field("store_frac", p.store_frac);
-    fp.field("seq_frac", p.seq_frac);
-    fp.field("dep_frac", p.dep_frac);
-    fp.field("critical_frac", p.critical_frac);
-    fp.field("drift_period", p.drift_period);
-    fp.field("ifetch_refs_per_kinst", p.ifetch_refs_per_kinst);
-    fp.field("code_bytes", p.code_bytes);
-    fp.field("branches_per_kinst", p.branches_per_kinst);
-    fp.field("hard_branch_frac", p.hard_branch_frac);
-    fp.field("hard_branch_bias", p.hard_branch_bias);
-    fp.field("footprint_bytes", p.footprint_bytes);
-    fp.field("layer_count", std::uint64_t{p.layers.size()});
-    for (std::size_t i = 0; i < p.layers.size(); ++i) {
-        char nm[48];
-        std::snprintf(nm, sizeof(nm), "layer%zu.bytes", i);
-        fp.field(nm, p.layers[i].bytes);
-        std::snprintf(nm, sizeof(nm), "layer%zu.weight", i);
-        fp.field(nm, p.layers[i].weight);
-        std::snprintf(nm, sizeof(nm), "layer%zu.segments", i);
-        fp.field(nm, p.layers[i].segments);
-        std::snprintf(nm, sizeof(nm), "layer%zu.colliding", i);
-        fp.field(nm, p.layers[i].colliding_segments);
-    }
-    fp.field("seed_mix", seed_mix);
-    return fp;
-}
-
-namespace {
-
-struct RegistryEntry
-{
-    WorkloadProfile profile;
-    std::uint64_t seed_mix = 0;
-    std::shared_ptr<const PackedTrace> buf;
-    std::mutex gen_mutex;  //!< serializes generation per entry only
-};
-
-struct Registry
-{
-    std::mutex mtx;  //!< guards the entry list, never generation
-    std::list<RegistryEntry> entries;
-};
-
-Registry &
-registry()
-{
-    static Registry r;
-    return r;
-}
-
-} // namespace
-
 std::shared_ptr<const PackedTrace>
 sharedPackedTrace(const WorkloadProfile &profile, std::uint64_t records,
                   std::uint64_t seed_mix)
 {
-    Registry &reg = registry();
-    RegistryEntry *entry = nullptr;
-    {
-        std::lock_guard<std::mutex> lock(reg.mtx);
-        for (RegistryEntry &e : reg.entries) {
-            if (e.seed_mix == seed_mix &&
-                sameProfile(e.profile, profile)) {
-                entry = &e;
-                break;
-            }
-        }
-        if (!entry) {
-            reg.entries.emplace_back();
-            entry = &reg.entries.back();
-            entry->profile = profile;
-            entry->seed_mix = seed_mix;
-        }
-    }
-
-    // Generation happens outside the registry lock so concurrent
-    // workers only serialize against requests for the same workload.
-    std::lock_guard<std::mutex> lock(entry->gen_mutex);
-    if (!entry->buf) {
-        entry->buf = std::make_shared<const PackedTrace>(
-            profile, records, seed_mix);
-    } else if (entry->buf->size() < records) {
-        entry->buf = std::make_shared<const PackedTrace>(
-            *entry->buf, records);
-    }
-    return entry->buf;
+    Fingerprint fp;
+    fingerprintProfile(fp, profile);
+    fp.field("seed_mix", seed_mix);
+    return registry().get(
+        fp.key(), [&](const std::shared_ptr<const PackedTrace> &cur) {
+            if (!cur)
+                return std::make_shared<const PackedTrace>(profile, records,
+                                                           seed_mix);
+            // A longer request extends the stored buffer.
+            if (cur->size() < records)
+                return std::make_shared<const PackedTrace>(*cur, records);
+            return cur;
+        });
 }
 
 std::size_t
 dropUnusedPackedTraces()
 {
-    Registry &reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mtx);
-    std::size_t freed = 0;
-    for (auto it = reg.entries.begin(); it != reg.entries.end();) {
-        std::unique_lock<std::mutex> gen_lock(it->gen_mutex,
-                                              std::try_to_lock);
-        if (gen_lock.owns_lock() &&
-            (!it->buf || it->buf.use_count() == 1)) {
-            gen_lock.unlock();
-            it = reg.entries.erase(it);
-            ++freed;
-        } else {
-            ++it;
-        }
-    }
-    return freed;
+    return registry().dropUnused();
 }
 
 } // namespace nurapid

@@ -26,7 +26,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/fingerprint.hh"
 #include "trace/synthetic.hh"
 
 namespace nurapid {
@@ -131,11 +130,12 @@ class PackedTrace
 
 /**
  * Process-wide buffer registry: returns a packed stream of at least
- * @p records for (profile, seed_mix), generating or extending at most
- * once per process. Thread-safe; concurrent requests for different
- * workloads generate in parallel. Buffers live for the process (the
- * full 15-workload suite at default lengths is < 1 GB) unless
- * dropUnusedPackedTraces() frees them.
+ * @p records for (profile, seed_mix), keyed by fingerprintProfile and
+ * the seed mix, generating or extending at most once per process.
+ * Thread-safe; concurrent requests for different workloads generate in
+ * parallel. Buffers live for the process (the full 15-workload suite
+ * at default lengths is < 1 GB) unless dropUnusedPackedTraces() frees
+ * them.
  */
 std::shared_ptr<const PackedTrace>
 sharedPackedTrace(const WorkloadProfile &profile, std::uint64_t records,
@@ -143,13 +143,6 @@ sharedPackedTrace(const WorkloadProfile &profile, std::uint64_t records,
 
 /** Drops registry entries no one else holds; returns entries freed. */
 std::size_t dropUnusedPackedTraces();
-
-/** Canonical fingerprint of (generator version, profile, seed mix):
- *  the generator identity embedded in every distilled-stream key, so
- *  a .dtc file is invalidated whenever the stream it came from would
- *  change. */
-Fingerprint packedTraceFingerprint(const WorkloadProfile &profile,
-                                   std::uint64_t seed_mix);
 
 } // namespace nurapid
 

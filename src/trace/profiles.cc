@@ -130,6 +130,35 @@ lowLoadSuite()
     return out;
 }
 
+void
+fingerprintProfile(Fingerprint &fp, const WorkloadProfile &p)
+{
+    fp.field("workload", p.name);
+    fp.field("fp", p.fp);
+    fp.field("high_load", p.high_load);
+    fp.field("base_cpi", p.base_cpi);
+    fp.field("mem_refs_per_kinst", p.mem_refs_per_kinst);
+    fp.field("store_frac", p.store_frac);
+    fp.field("seq_frac", p.seq_frac);
+    fp.field("dep_frac", p.dep_frac);
+    fp.field("critical_frac", p.critical_frac);
+    fp.field("drift_period", p.drift_period);
+    fp.field("ifetch_refs_per_kinst", p.ifetch_refs_per_kinst);
+    fp.field("code_bytes", p.code_bytes);
+    fp.field("branches_per_kinst", p.branches_per_kinst);
+    fp.field("hard_branch_frac", p.hard_branch_frac);
+    fp.field("hard_branch_bias", p.hard_branch_bias);
+    fp.field("footprint", p.footprint_bytes);
+    fp.field("seed", p.seed);
+    fp.field("layers", static_cast<std::uint64_t>(p.layers.size()));
+    for (const auto &layer : p.layers) {
+        fp.field("layer.bytes", layer.bytes);
+        fp.field("layer.weight", layer.weight);
+        fp.field("layer.segments", layer.segments);
+        fp.field("layer.colliding", layer.colliding_segments);
+    }
+}
+
 const WorkloadProfile &
 findProfile(const std::string &name)
 {

@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "common/fingerprint.hh"
+
 namespace nurapid {
 
 /** One reuse layer of a workload's footprint. */
@@ -86,6 +88,12 @@ struct WorkloadProfile
     std::uint64_t footprint_bytes = 64ull << 20;
     std::uint64_t seed = 0;  //!< per-benchmark stream seed
 };
+
+/** Appends every field that shapes a run of @p p: the one profile
+ *  field list that the run key, the distilled-stream key and the
+ *  packed-trace registry share. The Table 3 anchors are left out:
+ *  nothing simulated reads them. */
+void fingerprintProfile(Fingerprint &fp, const WorkloadProfile &p);
 
 /** The 15-application suite standing in for the paper's Table 3. */
 const std::vector<WorkloadProfile> &workloadSuite();

@@ -5,8 +5,9 @@
  * and same statistics, for every workload profile and every
  * organization kind (this is the guarantee that lets the sweep skip
  * the org-independent work 18 times over). Also covers the disk
- * round-trip, recompute of corrupt files (checksum included),
- * fingerprint invalidation, the record-index and block-index limits,
+ * round-trip, recompute of corrupt files (checksum included) and of
+ * another build's files, fingerprint invalidation (every profile and
+ * CacheOrg field), the record-index and block-index limits,
  * and the NURAPID_DISTILL=0 fallback.
  */
 
@@ -18,11 +19,13 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/runner/run_engine.hh"
 #include "sim/system.hh"
 #include "trace/distilled_trace.hh"
+#include "trace/packed_trace.hh"
 #include "trace/profiles.hh"
 
 namespace nurapid {
@@ -65,6 +68,42 @@ sameStream(const DistilledTrace &t, const StreamCopy &want)
         return ::testing::AssertionFailure() << "segment folds differ";
     }
     return ::testing::AssertionSuccess();
+}
+
+/** The files in @p dir, sorted. */
+std::vector<std::string>
+filesIn(const std::string &dir)
+{
+    std::vector<std::string> out;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        out.push_back(entry.path().string());
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+/** How many fields aggregate T has: the most braced initializers it
+ *  accepts. The key-coverage tests pin it, so a new field cannot slip
+ *  past them. */
+struct AnyField
+{
+    template <class T> operator T() const;
+};
+
+template <class T, std::size_t... I>
+constexpr bool
+bracedWith(std::index_sequence<I...>)
+{
+    return requires { T{(void(I), AnyField{})...}; };
+}
+
+template <class T, std::size_t N = 0>
+constexpr std::size_t
+fieldCount()
+{
+    if constexpr (bracedWith<T>(std::make_index_sequence<N + 1>{}))
+        return fieldCount<T, N + 1>();
+    else
+        return N;
 }
 
 /** The five organization kinds, one preset each. */
@@ -230,9 +269,6 @@ TEST(DistilledTrace, CorruptFileIsRecomputedWithAWarning)
     std::string dir = ::testing::TempDir() + "nurapid_distill_XXXXXX";
     ASSERT_NE(::mkdtemp(dir.data()), nullptr);
     ::setenv("NURAPID_TRACE_CACHE_DIR", dir.c_str(), 1);
-    const std::string path = dir + "/" + prof.name + "-" +
-        distillFingerprint(prof, kMix, kRecords, cuts, params).digest() +
-        ".dtc";
 
     // A missing file is the normal cold case: no warning.
     ::testing::internal::CaptureStderr();
@@ -241,7 +277,8 @@ TEST(DistilledTrace, CorruptFileIsRecomputedWithAWarning)
     EXPECT_EQ(::testing::internal::GetCapturedStderr().find("recomputing"),
               std::string::npos);
     ASSERT_FALSE(original->fromFile());
-    ASSERT_TRUE(std::filesystem::exists(path));
+    ASSERT_EQ(filesIn(dir).size(), 1u);
+    const std::string path = filesIn(dir)[0];
     const StreamCopy copy(*original);
     original.reset();
     dropUnusedDistilledTraces();
@@ -309,16 +346,27 @@ TEST(DistilledTrace, FingerprintChangesWithEveryKeyedParameter)
             << what << " must invalidate the fingerprint";
     };
 
+    // Every CacheOrg field of either L1.
+    static_assert(fieldCount<CacheOrg>() == 4,
+                  "a new CacheOrg field needs a case here and a line in "
+                  "fingerprintCacheOrg");
+    using OrgEdit = void (*)(CacheOrg &);
+    const std::pair<const char *, OrgEdit> org_edits[] = {
+        {"name", [](CacheOrg &o) { o.name += "'"; }},
+        {"capacity", [](CacheOrg &o) { o.capacity_bytes *= 2; }},
+        {"associativity", [](CacheOrg &o) { o.assoc *= 2; }},
+        {"block size", [](CacheOrg &o) { o.block_bytes *= 2; }},
+    };
+    for (const auto &[what, edit] : org_edits) {
+        DistillParams p = base;
+        edit(p.l1i);
+        differs(p, (std::string("L1I ") + what).c_str());
+        p = base;
+        edit(p.l1d);
+        differs(p, (std::string("L1D ") + what).c_str());
+    }
+
     DistillParams p = base;
-    p.l1d.capacity_bytes *= 2;
-    differs(p, "L1D capacity");
-    p = base;
-    p.l1d.assoc *= 2;
-    differs(p, "L1D associativity");
-    p = base;
-    p.l1i.block_bytes *= 2;
-    differs(p, "L1I block size");
-    p = base;
     p.bp_entries *= 2;
     differs(p, "predictor entries");
     p = base;
@@ -340,6 +388,140 @@ TEST(DistilledTrace, FingerprintChangesWithEveryKeyedParameter)
     const WorkloadProfile other = findProfile("mcf");
     EXPECT_NE(distillFingerprint(other, 0, 4'000, cuts, base).key(), key)
         << "workload must invalidate the fingerprint";
+}
+
+TEST(CacheKeys, EveryProfileFieldSeparatesEveryKey)
+{
+    // fingerprintProfile is the one profile field list behind the run
+    // key, the distilled-stream key and the packed-trace registry:
+    // changing any field must separate all three. table3_ipc and
+    // table3_l2_apki are exempt: they are the paper's Table 3 numbers
+    // the calibration aims at, and nothing simulated reads them.
+    static_assert(fieldCount<WorkloadProfile>() == 20,
+                  "a new profile field needs a case here and a line in "
+                  "fingerprintProfile (or an exemption)");
+    static_assert(fieldCount<WorkingSetLayer>() == 4,
+                  "a new layer field needs a case here and a line in "
+                  "fingerprintProfile");
+    using P = WorkloadProfile;
+    using Edit = void (*)(P &);
+    const std::pair<const char *, Edit> edits[] = {
+        {"name", [](P &p) { p.name += "'"; }},
+        {"fp", [](P &p) { p.fp = !p.fp; }},
+        {"high_load", [](P &p) { p.high_load = !p.high_load; }},
+        {"base_cpi", [](P &p) { p.base_cpi *= 2; }},
+        {"mem_refs_per_kinst", [](P &p) { p.mem_refs_per_kinst *= 2; }},
+        {"store_frac", [](P &p) { p.store_frac /= 2; }},
+        {"seq_frac", [](P &p) { p.seq_frac /= 2; }},
+        {"dep_frac", [](P &p) { p.dep_frac /= 2; }},
+        {"critical_frac", [](P &p) { p.critical_frac /= 2; }},
+        {"drift_period", [](P &p) { p.drift_period *= 2; }},
+        {"layers", [](P &p) { p.layers.pop_back(); }},
+        {"layer bytes", [](P &p) { p.layers[1].bytes *= 2; }},
+        {"layer weight", [](P &p) { p.layers[1].weight /= 2; }},
+        {"layer segments", [](P &p) { p.layers[1].segments += 1; }},
+        {"layer colliding segments",
+         [](P &p) { p.layers[1].colliding_segments += 1; }},
+        {"ifetch_refs_per_kinst",
+         [](P &p) { p.ifetch_refs_per_kinst += 10; }},
+        {"code_bytes", [](P &p) { p.code_bytes *= 2; }},
+        {"branches_per_kinst", [](P &p) { p.branches_per_kinst /= 2; }},
+        {"hard_branch_frac", [](P &p) { p.hard_branch_frac /= 2; }},
+        {"hard_branch_bias", [](P &p) { p.hard_branch_bias /= 2; }},
+        {"footprint_bytes", [](P &p) { p.footprint_bytes *= 2; }},
+        {"seed", [](P &p) { p.seed += 1; }},
+    };
+
+    const P base = findProfile("art");
+    ASSERT_GE(base.layers.size(), 2u);
+    constexpr std::uint64_t kMix = 97;  // registry entries of its own
+    constexpr std::uint64_t kRecords = 200;
+    DistillParams dp;
+    dp.l1i = l1iOrg();
+    dp.l1d = l1dOrg();
+    auto runKey = [](const P &p) {
+        return fingerprintRun(OrgSpec::baseline(), p, {100, 100}).key;
+    };
+    auto streamKey = [&dp](const P &p) {
+        return distillFingerprint(p, kMix, kRecords, {kRecords}, dp).key();
+    };
+    const auto packed = sharedPackedTrace(base, kRecords, kMix);
+
+    for (const auto &[what, edit] : edits) {
+        P p = base;
+        edit(p);
+        EXPECT_NE(runKey(p), runKey(base)) << what;
+        EXPECT_NE(streamKey(p), streamKey(base)) << what;
+        EXPECT_NE(sharedPackedTrace(p, kRecords, kMix), packed) << what;
+    }
+
+    P anchors = base;
+    anchors.table3_ipc *= 2;
+    anchors.table3_l2_apki *= 2;
+    EXPECT_EQ(runKey(anchors), runKey(base));
+    EXPECT_EQ(streamKey(anchors), streamKey(base));
+    EXPECT_EQ(sharedPackedTrace(anchors, kRecords, kMix), packed);
+}
+
+TEST(DistilledTrace, AnotherBuildsFileIsSilentlyRecomputed)
+{
+    // A .dtc file name leaves the model digest out, so a rebuilt
+    // binary finds the previous build's file of the same stream. That
+    // is the normal cold case: the stream is recomputed, never
+    // replayed, with no warning, and the old file is overwritten
+    // rather than joined by a second one.
+    constexpr std::uint64_t kMix = 83;
+    constexpr std::uint64_t kRecords = 6'000;
+    const std::vector<std::uint64_t> cuts{kRecords};
+    const WorkloadProfile prof = findProfile("swim");
+    DistillParams params;
+    params.l1i = l1iOrg();
+    params.l1d = l1dOrg();
+
+    std::string dir = ::testing::TempDir() + "nurapid_distill_XXXXXX";
+    ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+    ::setenv("NURAPID_TRACE_CACHE_DIR", dir.c_str(), 1);
+
+    auto original =
+        sharedDistilledTrace(prof, kRecords, cuts, params, kMix);
+    ASSERT_FALSE(original->fromFile());
+    const StreamCopy copy(*original);
+    original.reset();
+    dropUnusedDistilledTraces();
+    const std::vector<std::string> files = filesIn(dir);
+    ASSERT_EQ(files.size(), 1u);
+
+    // Rewrite the stored key's digest as another build's would read.
+    {
+        const std::string field = std::string("digest=") + modelDigest();
+        std::fstream f(files[0], std::ios::in | std::ios::out |
+                                     std::ios::binary);
+        std::string head(512, '\0');
+        f.read(head.data(), static_cast<std::streamsize>(head.size()));
+        const std::size_t at = head.find(field);
+        ASSERT_NE(at, std::string::npos);
+        const char other = modelDigest()[0] == '0' ? '1' : '0';
+        f.clear();
+        f.seekp(static_cast<std::streamoff>(at + 7));
+        f.write(&other, 1);
+    }
+
+    ::testing::internal::CaptureStderr();
+    auto t = sharedDistilledTrace(prof, kRecords, cuts, params, kMix);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_FALSE(t->fromFile()) << "another build's stream was replayed";
+    EXPECT_EQ(err, "");
+    EXPECT_TRUE(sameStream(*t, copy));
+    t.reset();
+    dropUnusedDistilledTraces();
+    EXPECT_EQ(filesIn(dir), files);
+
+    // The overwritten file is this build's and loads again.
+    auto reloaded =
+        sharedDistilledTrace(prof, kRecords, cuts, params, kMix);
+    EXPECT_TRUE(reloaded->fromFile());
+
+    ::unsetenv("NURAPID_TRACE_CACHE_DIR");
 }
 
 /** True for an event whose only replay effect is a mispredict. */
@@ -496,10 +678,8 @@ TEST(DistilledTrace, FlippedPayloadByteIsCaughtByTheChecksum)
 
     const Observed original = observe(org, prof, len, true);
     dropUnusedDistilledTraces();
-    std::string path;
-    for (const auto &entry : std::filesystem::directory_iterator(dir))
-        path = entry.path().string();
-    ASSERT_FALSE(path.empty()) << "the run stored no stream";
+    ASSERT_EQ(filesIn(dir).size(), 1u) << "the run stored no stream";
+    const std::string path = filesIn(dir)[0];
 
     {
         // The gap words start where the arrays behind them end:

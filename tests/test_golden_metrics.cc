@@ -4,8 +4,9 @@
  * final organizations with the exact hit/miss/promotion/writeback
  * counters checked in. Any change to these numbers is a change to
  * simulated behavior — intentional ones must regenerate the table
- * (run the suite with NURAPID_GOLDEN_PRINT=1 and paste the output)
- * and bump kRunCacheSchema so stale caches are invalidated.
+ * (run the suite with NURAPID_GOLDEN_PRINT=1 and paste the output).
+ * Stale caches need no action: the source edit changes modelDigest(),
+ * which leads every run-cache and .dtc key.
  */
 
 #include <gtest/gtest.h>

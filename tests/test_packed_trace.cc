@@ -4,18 +4,24 @@
  * record-for-record identically to live SyntheticTrace generation for
  * every workload profile (this is what makes the devirtualized sweep
  * path bit-identical to the original), the process-wide registry must
- * share and extend buffers correctly, and RunEngine workers sharing
- * one buffer must produce bit-identical metrics.
+ * share and extend buffers correctly and survive concurrent drops, and
+ * RunEngine workers sharing one buffer must produce bit-identical
+ * metrics.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/runner/run_engine.hh"
 #include "sim/system.hh"
 #include "trace/packed_trace.hh"
 #include "trace/profiles.hh"
+#include "trace/stream_registry.hh"
 #include "trace/synthetic.hh"
 
 namespace nurapid {
@@ -150,6 +156,43 @@ TEST(PackedTrace, WorkersSharingOneBufferStayBitIdentical)
             << ": workers sharing one packed buffer diverged";
         EXPECT_GT(b[i].instructions, 0u);
     }
+}
+
+TEST(PackedTrace, RegistryDropKeepsEntriesRequestsAreBuilding)
+{
+    // dropUnused() may run while another thread has found an entry but
+    // not yet built it; that entry must outlive the request. ASan and
+    // TSan builds check the interleavings this produces.
+    StreamRegistry<int> reg;
+    std::atomic<int> running{3};
+    std::atomic<int> served{0};
+    std::vector<std::thread> workers;
+    for (int t = 0; t < 3; ++t) {
+        workers.emplace_back([&, t] {
+            for (int i = 0; i < 2'000; ++i) {
+                const auto v = reg.get(
+                    std::to_string((t + i) % 4),
+                    [i](const std::shared_ptr<const int> &cur) {
+                        return cur ? cur : std::make_shared<const int>(i);
+                    });
+                served += v != nullptr;
+            }
+            --running;
+        });
+    }
+    while (running > 0)
+        reg.dropUnused();
+    for (auto &w : workers)
+        w.join();
+    EXPECT_EQ(served, 3 * 2'000);
+
+    reg.dropUnused();
+    bool fresh = false;
+    reg.get("0", [&fresh](const std::shared_ptr<const int> &cur) {
+        fresh = cur == nullptr;
+        return std::make_shared<const int>(0);
+    });
+    EXPECT_TRUE(fresh) << "an entry no one held survived dropUnused()";
 }
 
 } // namespace

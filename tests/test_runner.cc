@@ -3,8 +3,8 @@
  * Run-engine tests: parallel determinism (jobs=4 bit-identical to
  * jobs=1 across organizations), memoization (warm cache returns
  * identical metrics without re-simulating), batch layout, fingerprint
- * stability, and cache-file persistence round trips, including stale
- * schemas and a concurrent writer's temp file.
+ * stability, and cache-file persistence round trips, including another
+ * build's model digest and a concurrent writer's temp file.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/fingerprint.hh"
 #include "common/json.hh"
 #include "sim/runner/run_engine.hh"
 #include "sim/system.hh"
@@ -193,6 +194,10 @@ TEST(RunCache, FingerprintSeparatesRunInputs)
     const auto &prof = findProfile("applu");
     const auto base = fingerprintRun(OrgSpec::baseline(), prof,
                                      tinyLength());
+    EXPECT_EQ(base.key.rfind(std::string("digest=") + modelDigest() + ";",
+                             0),
+              0u)
+        << "the model digest must lead the key";
 
     EXPECT_EQ(fingerprintRun(OrgSpec::baseline(), prof, tinyLength()).key,
               base.key);
@@ -337,9 +342,9 @@ TEST(RunCache, CorruptFileIsIgnored)
     // Missing file: silently empty.
     EXPECT_EQ(cache.loadFile("does_not_exist_12345.json"), 0u);
 
-    // A well-formed file from an older schema (here 1, whose keys
-    // predate the current result-changing model fixes) is ignored, and
-    // an engine reading it recomputes the run instead of serving it.
+    // A well-formed file written by another build of the model (a
+    // foreign digest at its root) is ignored whole, and an engine
+    // reading it recomputes the run instead of serving it.
     const RunRequest req{OrgSpec::baseline(), findProfile("applu"),
                          tinyLength()};
     RunMetrics stale;
@@ -360,13 +365,16 @@ TEST(RunCache, CorruptFileIsIgnored)
     }
     Json root = Json::parse(text);
     ASSERT_TRUE(root.isObject());
-    root.set("schema", Json(std::uint64_t{1}));
+    std::string foreign = root.get("digest").asString();
+    ASSERT_EQ(foreign, modelDigest());
+    foreign[0] = foreign[0] == '0' ? '1' : '0';
+    root.set("digest", Json(foreign));
     {
         std::ofstream out(path, std::ios::trunc);
         out << root.dump();
     }
     EXPECT_EQ(RunCache().loadFile(path), 0u)
-        << "schema-1 cache file was served";
+        << "a cache file from another model digest was served";
 
     RunEngineOptions opts;
     opts.jobs = 1;
