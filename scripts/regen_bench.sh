@@ -37,8 +37,9 @@
 # Besides the per-table stdout, the sweep writes BUILD_DIR/BENCH_sweep.json
 # with machine-readable timings: per-binary and total wall milliseconds,
 # each binary's first-run engine footer (`wall_s`, its own wall clock,
-# and `sim_s`, the summed run time of what it simulated, so sim_s /
-# wall_s is its core utilisation), whether the sweep started cold (no
+# and `sim_s`, the summed busy time of what it simulated, stream
+# distillation included, so sim_s / wall_s is its core utilisation),
+# whether the sweep started cold (no
 # pre-existing run-cache file; `trace_cold`: no .dtc file), and the
 # unique-configuration count in the resulting run cache. Timings use
 # `date +%s%N` (no /usr/bin/time or bc needed).

@@ -121,6 +121,9 @@ class OooCore
     MshrFile &mshrFile() { return mshrs; }
     StatGroup &stats() { return statGroup; }
 
+    /** The inert loop's clock stepper (its kernel count, for tests). */
+    const InertClock &inertStepper() const { return inertClock; }
+
     std::uint64_t l1dAccesses() const { return statL1DAccesses.value(); }
     std::uint64_t l1iAccesses() const { return statL1IAccesses.value(); }
 

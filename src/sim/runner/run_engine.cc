@@ -1,6 +1,7 @@
 #include "sim/runner/run_engine.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <map>
 #include <thread>
@@ -105,11 +106,15 @@ RunEngine::runMany(const std::vector<RunRequest> &requests)
             // still count toward footer coverage; its *self* time is
             // exactly that per-run overhead.
             EngineSpan wspan("run-unit", r.profile.name);
+            const auto start = std::chrono::steady_clock::now();
             System sys(r.spec, r.profile, r.length);
             ObsConfig cfg = r.obs;
             cfg.run_cache_bypassed = opts.use_cache && cfg.enabled();
             sys.enableObservability(cfg);
             results[idx] = sys.runAll();
+            atomicAdd(simSecs, std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - start)
+                                   .count());
         };
 
         const unsigned jobs = jobsFor(misses.size());
@@ -138,8 +143,6 @@ RunEngine::runMany(const std::vector<RunRequest> &requests)
                 th.join();
         }
         simulated.fetch_add(misses.size());
-        for (std::size_t idx : misses)
-            atomicAdd(simSecs, results[idx].wall_seconds);
 
         if (opts.use_cache) {
             EngineSpan span("cache-store",

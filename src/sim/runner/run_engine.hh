@@ -112,7 +112,9 @@ class RunEngine
     /** Runs actually simulated (cache misses) over the engine's life. */
     std::uint64_t simulatedRuns() const { return simulated.load(); }
 
-    /** Sum of wall_seconds over simulated runs (CPU cost paid). */
+    /** Busy time of the simulated runs: each run unit's whole wall
+     *  time, System construction (distillation included) plus runAll,
+     *  so it is at least their summed wall_seconds. */
     double simulatedSeconds() const { return simSecs.load(); }
 
     /** Results served from the memoization cache. */

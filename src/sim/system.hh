@@ -89,6 +89,8 @@ class System
     LowerMemory &lower() { return *lowerMem; }
     SetAssocCache &l1i() { return l1iCache; }
     SetAssocCache &l1d() { return l1dCache; }
+    /** The replayed stream; null when distillation is off. */
+    const DistilledTrace *distilledTrace() const { return distilled.get(); }
 
   private:
     void warmup();

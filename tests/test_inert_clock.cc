@@ -4,7 +4,10 @@
  * records must leave the dispatch clock and instruction count
  * bit-identical to the live loop's two FP additions per record, from
  * any start clock, across binade boundaries, ties, wide inst_gaps,
- * window limits that trip and clear, and the short-run gate.
+ * window limits that trip and clear, and the short-run gate. The
+ * kernel must also actually step the records it is built for: a
+ * fallback to the double loop would keep every result and lose the
+ * speed.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +20,8 @@
 
 #include "common/rng.hh"
 #include "cpu/inert_clock.hh"
+#include "sim/system.hh"
+#include "trace/profiles.hh"
 
 namespace nurapid {
 namespace {
@@ -132,18 +137,60 @@ replay(Clock &clock, const Scenario &s)
     return out;
 }
 
-void
+/** Replays @p s through InertClock and the reference; returns the
+ *  records the kernel committed. */
+std::uint64_t
 expectIdentical(const Scenario &s, std::uint64_t id)
 {
     InertClock clock(s.cpi, s.penalty);
     Reference ref{s.cpi, static_cast<double>(s.penalty)};
     const Outcome want = replay(ref, s);
     const Outcome got = replay(clock, s);
-    ASSERT_EQ(got.trips, want.trips) << "scenario " << id;
-    ASSERT_EQ(got.c_bits, want.c_bits)
+    EXPECT_EQ(got.trips, want.trips) << "scenario " << id;
+    EXPECT_EQ(got.c_bits, want.c_bits)
         << "scenario " << id << ": clock " << std::bit_cast<double>(
                got.c_bits) << " vs " << std::bit_cast<double>(want.c_bits);
-    ASSERT_EQ(got.insts, want.insts) << "scenario " << id;
+    EXPECT_EQ(got.insts, want.insts) << "scenario " << id;
+    return clock.kernelRecords();
+}
+
+/** Gap words with inst_gaps 0-15 only, the kernel's range: mostly the
+ *  profiles' 1-4, some folded mispredicts. */
+std::vector<std::uint8_t>
+drawShortWords(Rng &rng, std::size_t len)
+{
+    std::vector<std::uint8_t> w(len);
+    for (auto &x : w) {
+        const std::uint32_t gap =
+            rng.chance(0.8) ? 1 + rng.below(4) : rng.below(16);
+        x = static_cast<std::uint8_t>(gap | (rng.chance(0.1) ? 0x80u
+                                                             : 0u));
+    }
+    return w;
+}
+
+/** A start clock in an ordinary binade, far from its ends. */
+double
+midBinadeClock(Rng &rng)
+{
+    return std::ldexp(1.25 + rng.uniform() * 0.5,
+                      12 + static_cast<int>(rng.below(30)));
+}
+
+/** Records the kernel steps in one unlimited run of @p s's short
+ *  gap words that never nears a binade end: none in a binade with a
+ *  tie (Rng::uniform's CPIs hold ties in about one binade in ten),
+ *  else every whole block of a run long enough for the kernel. */
+std::uint64_t
+wholeBlocks(const Scenario &s)
+{
+    const auto n = static_cast<std::ptrdiff_t>(s.words.size());
+    if (n < InertClock::kMinExactRun ||
+        !InertClock(s.cpi, s.penalty).binadeOf(s.c0).exact) {
+        return 0;
+    }
+    return static_cast<std::uint64_t>(n / InertClock::kBlock *
+                                      InertClock::kBlock);
 }
 
 /** Gap words: mostly the short gaps real streams hold, some folded
@@ -166,25 +213,25 @@ drawWords(Rng &rng, std::size_t len, double wide_frac)
 TEST(InertClock, ExactOnlyInOrdinaryBinades)
 {
     InertClock clock(0.125, 9);
-    EXPECT_FALSE(clock.exactBinade(0.0));
-    EXPECT_FALSE(clock.exactBinade(4095.75));
-    EXPECT_TRUE(clock.exactBinade(4096.0));
-    EXPECT_TRUE(clock.exactBinade(0x1p40 + 3.5));
-    EXPECT_TRUE(clock.exactBinade(0x1p50 - 1));
+    EXPECT_FALSE(clock.binadeOf(0.0).exact);
+    EXPECT_FALSE(clock.binadeOf(4095.75).exact);
+    EXPECT_TRUE(clock.binadeOf(4096.0).exact);
+    EXPECT_TRUE(clock.binadeOf(0x1p40 + 3.5).exact);
+    EXPECT_TRUE(clock.binadeOf(0x1p50 - 1).exact);
     // In [2^52, 2^53), u = 1: n = 4 dispatches 0.5 cycles, a tie.
-    EXPECT_FALSE(clock.exactBinade(0x1p52));
+    EXPECT_FALSE(clock.binadeOf(0x1p52).exact);
     // From 2^53 on, u >= 2 and the 9-cycle penalty is no whole number
     // of steps, even where dispatch has no tie.
     InertClock whole_cpi(2.0, 9);
-    EXPECT_TRUE(whole_cpi.exactBinade(0x1p52));
-    EXPECT_FALSE(whole_cpi.exactBinade(0x1p53));
+    EXPECT_TRUE(whole_cpi.binadeOf(0x1p52).exact);
+    EXPECT_FALSE(whole_cpi.binadeOf(0x1p53).exact);
 
     // dispatch_cpi = 1 + 2^-20: in [2^33, 2^34), u = 2^-19, so every
     // odd n makes a/u = n·2^19 + n/2 a half-integer tie.
     InertClock tie(1 + 0x1p-20, 9);
-    EXPECT_TRUE(tie.exactBinade(0x1p32));
-    EXPECT_FALSE(tie.exactBinade(0x1p33));
-    EXPECT_FALSE(tie.exactBinade(0x1p34 - 1));
+    EXPECT_TRUE(tie.binadeOf(0x1p32).exact);
+    EXPECT_FALSE(tie.binadeOf(0x1p33).exact);
+    EXPECT_FALSE(tie.binadeOf(0x1p34 - 1).exact);
 }
 
 TEST(InertClock, TieBinadeMatchesTheDoubleLoop)
@@ -218,10 +265,10 @@ TEST(InertClock, GateEdge)
     }
 }
 
-TEST(InertClock, WidestTableGapsFillTheInstructionField)
+TEST(InertClock, WideGapsTakeTheDoubleLoop)
 {
-    // Eight inst_gap-63 records sum to 512 instructions, the packed
-    // entries' largest instruction field.
+    // inst_gap-63 words, past the kernel's 0-15: every block is
+    // refused and stepped by the double loop.
     Rng rng(63);
     for (std::uint64_t i = 0; i < 200; ++i) {
         Scenario s;
@@ -231,7 +278,174 @@ TEST(InertClock, WidestTableGapsFillTheInstructionField)
         for (auto &w : s.words)
             w |= rng.chance(0.2) ? 0x80u : 0u;
         s.unlimited = true;
-        expectIdentical(s, i);
+        EXPECT_EQ(expectIdentical(s, i), 0u);
+    }
+}
+
+TEST(InertClock, KernelStepsShortGaps)
+{
+    ASSERT_TRUE(InertClock::kernelAvailable());
+    Rng rng(16);
+    std::uint64_t records = 0;
+    std::uint64_t kernel = 0;
+    for (std::uint64_t i = 0; i < 3000; ++i) {
+        Scenario s;
+        s.cpi = i % 3 == 0 ? 0.125 : 0.125 + rng.uniform() * 1.9;
+        s.penalty = i % 5 == 0 ? 0 : 9;
+        s.c0 = midBinadeClock(rng);
+        s.insts0 = rng.below64(std::uint64_t{1} << 40);
+        s.words = drawShortWords(rng, 32 + rng.below(400));
+        s.limit_seed = rng.next();
+        s.unlimited = i % 2 == 0;
+        records += s.words.size();
+        kernel += expectIdentical(s, i);
+    }
+    // Half the runs have no limit and start mid-binade; window-limited
+    // runs reach the kernel only after a trip empties the window.
+    EXPECT_GT(kernel, records / 3);
+}
+
+TEST(InertClock, RunLengthsAroundTheBlock)
+{
+    ASSERT_TRUE(InertClock::kernelAvailable());
+    Rng rng(48);
+    std::uint64_t kernel = 0;
+    for (const std::size_t len : {15, 16, 17, 31, 32, 33, 48}) {
+        for (std::uint64_t i = 0; i < 200; ++i) {
+            Scenario s;
+            s.cpi = 0.125 + rng.uniform() * 1.9;
+            s.c0 = midBinadeClock(rng);
+            s.words = drawShortWords(rng, len);
+            s.unlimited = true;
+            const std::uint64_t got = expectIdentical(s, len * 1000 + i);
+            EXPECT_EQ(got, wholeBlocks(s)) << "run of " << len;
+            kernel += got;
+        }
+    }
+    // Runs of 32, 33 and 48 records: 2 + 2 + 3 blocks each.
+    EXPECT_GT(kernel, 200u * 7 * InertClock::kBlock * 3 / 4);
+}
+
+TEST(InertClock, OneWideGapRefusesOnlyItsBlock)
+{
+    ASSERT_TRUE(InertClock::kernelAvailable());
+    Rng rng(17);
+    for (std::uint64_t i = 0; i < 480; ++i) {
+        Scenario s;
+        s.cpi = 0.125 + rng.uniform() * 1.9;
+        s.c0 = midBinadeClock(rng);
+        s.words = drawShortWords(rng, 48);
+        // inst_gap 16, the narrowest the kernel refuses (bit 4), in
+        // one of the three blocks; inst_gap 15 next to it is stepped.
+        const std::size_t at = i % 48;
+        s.words[at] = static_cast<std::uint8_t>(16 | (s.words[at] & 0x80));
+        s.words[(at + 1) % 48] = 15;
+        s.unlimited = true;
+        const std::uint64_t want = wholeBlocks(s);
+        EXPECT_EQ(expectIdentical(s, i),
+                  want ? want - InertClock::kBlock : 0)
+            << "wide word at " << at;
+    }
+}
+
+TEST(InertClock, BlocksEndingAtTheBinadeBoundary)
+{
+    ASSERT_TRUE(InertClock::kernelAvailable());
+    // dispatch_cpi 0.125 in [2^20, 2^21): u = 2^-32, and a block of
+    // inst_gap-0 words with no fold steps K by exactly 2^33 (two
+    // cycles). The run's last block ends one u short of 2^21, exactly
+    // on it, or one record past it.
+    constexpr double kU = 0x1p-32;
+    for (const std::size_t blocks : {2, 3, 4}) {
+        const double reach = 2.0 * static_cast<double>(blocks);
+        struct Case
+        {
+            double c0;
+            std::uint64_t kernel;
+        };
+        const std::size_t len = blocks * InertClock::kBlock;
+        const Case cases[] = {
+            {0x1p21 - reach - kU, len},          // ends inside: commits
+            {0x1p21 - reach, len - InertClock::kBlock},  // ends on 2^21
+            {0x1p21 - reach + 0.125, len - InertClock::kBlock},
+        };
+        for (const Case &c : cases) {
+            Scenario s;
+            s.c0 = c.c0;
+            s.words.assign(len, 0);
+            s.unlimited = true;
+            EXPECT_EQ(expectIdentical(s, blocks), c.kernel)
+                << blocks << " blocks from " << c.c0;
+        }
+    }
+    // The same edges under random short gaps and folds: the clock
+    // starts within a few blocks of a power of two and crosses it.
+    Rng rng(2121);
+    std::uint64_t kernel = 0;
+    for (std::uint64_t i = 0; i < 2000; ++i) {
+        Scenario s;
+        s.cpi = 0.125 + rng.uniform() * 1.9;
+        s.penalty = 9;
+        const int e = 13 + static_cast<int>(rng.below(30));
+        s.c0 = std::ldexp(1.0, e) -
+            std::floor(rng.uniform() * 4 * InertClock::kBlock * s.cpi);
+        s.words = drawShortWords(rng, 64 + rng.below(64));
+        s.unlimited = true;
+        kernel += expectIdentical(s, i);
+    }
+    EXPECT_GT(kernel, 0u);
+}
+
+TEST(InertClock, DeltaAtItsLargest)
+{
+    ASSERT_TRUE(InertClock::kernelAvailable());
+    // In [2^30, 2^31), u = 2^-22, so dispatch_cpi 1 + f·2^-22 steps
+    // n·2^22 + round(n·f) per record. f just under 31/32 puts δ(16) at
+    // 15, the largest δ a binade without a tie holds (f = 31/32 ties
+    // at n = 16); f just over 1/2 puts it at 8.
+    for (const double f : {31.0 / 32 - 0x1p-10, 0.5 + 0x1p-10}) {
+        const double cpi = 1 + f * 0x1p-22;
+        InertClock probe(cpi, 9);
+        const InertClock::Binade &b = probe.binadeOf(0x1p30 + 7);
+        ASSERT_TRUE(b.exact) << f;
+        EXPECT_EQ(b.delta.back(), f > 0.75 ? 15 : 8) << f;
+        Rng rng(30);
+        std::uint64_t kernel = 0;
+        for (std::uint64_t i = 0; i < 500; ++i) {
+            Scenario s;
+            s.cpi = cpi;
+            s.c0 = std::ldexp(1 + rng.uniform(), 30);
+            s.words = drawShortWords(rng, 32 + rng.below(200));
+            s.limit_seed = rng.next();
+            s.unlimited = i % 2 == 0;
+            kernel += expectIdentical(s, i);
+        }
+        EXPECT_GT(kernel, 0u) << f;
+    }
+    // The tie itself is refused.
+    InertClock tie(1 + 31.0 / 32 * 0x1p-22, 9);
+    EXPECT_FALSE(tie.binadeOf(0x1p30).exact);
+}
+
+TEST(InertClock, KernelStepsMostOfALowLoadStream)
+{
+    ASSERT_TRUE(InertClock::kernelAvailable());
+    // A real replay of each low-load profile's distilled stream: most
+    // of its inert records must be kernel-stepped. If the ISA gate or
+    // the binade check refused them all, every result would still be
+    // right and only the speed would be lost.
+    for (const WorkloadProfile &prof : lowLoadSuite()) {
+        System sys(OrgSpec::baseline(), prof, SimLength{50'000, 150'000});
+        sys.runAll();
+        const DistilledTrace *trace = sys.distilledTrace();
+        if (!trace)
+            GTEST_SKIP() << "distillation is off (NURAPID_DISTILL=0)";
+        const std::uint64_t inert = trace->size() - trace->eventCount();
+        const std::uint64_t kernel =
+            sys.core().inertStepper().kernelRecords();
+        EXPECT_GT(kernel, inert / 2)
+            << prof.name << ": " << kernel << " of " << inert
+            << " inert records kernel-stepped";
     }
 }
 
@@ -239,6 +453,7 @@ TEST(InertClock, MatchesTheDoubleLoopBitForBit)
 {
     Rng rng(2024);
     std::uint64_t exact_runs = 0;
+    std::uint64_t kernel_runs = 0;
     for (std::uint64_t i = 0; i < 100000; ++i) {
         Scenario s;
         switch (rng.below(4)) {
@@ -276,14 +491,17 @@ TEST(InertClock, MatchesTheDoubleLoopBitForBit)
         s.limit_seed = rng.next();
         s.unlimited = rng.chance(0.2);
         if (s.unlimited && len >= InertClock::kMinExactRun &&
-            InertClock(s.cpi, s.penalty).exactBinade(s.c0)) {
+            InertClock(s.cpi, s.penalty).binadeOf(s.c0).exact) {
             ++exact_runs;
         }
-        expectIdentical(s, i);
+        if (expectIdentical(s, i) > 0)
+            ++kernel_runs;
     }
     // The integer path must actually have run (from the start of a
-    // run; more runs reach it after a trip empties the window).
+    // run; more runs reach it after a trip empties the window), and
+    // the kernel must have committed blocks in it.
     EXPECT_GT(exact_runs, 5000u);
+    EXPECT_GT(kernel_runs, 2000u);
 }
 
 } // namespace

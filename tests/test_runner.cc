@@ -2,9 +2,10 @@
  * @file
  * Run-engine tests: parallel determinism (jobs=4 bit-identical to
  * jobs=1 across organizations), memoization (warm cache returns
- * identical metrics without re-simulating), batch layout, fingerprint
- * stability, and cache-file persistence round trips, including another
- * build's model digest and a concurrent writer's temp file.
+ * identical metrics without re-simulating), batch layout, busy-time
+ * accounting, fingerprint stability, and cache-file persistence round
+ * trips, including another build's model digest and a concurrent
+ * writer's temp file.
  */
 
 #include <gtest/gtest.h>
@@ -101,6 +102,23 @@ TEST(RunEngine, RepeatedRequestsInOneBatchSimulateOnce)
     EXPECT_TRUE(identicalMetrics(runs[0], runs[2]));
     EXPECT_FALSE(runs[0].from_cache);
     EXPECT_TRUE(runs[1].from_cache);
+}
+
+TEST(RunEngine, SimulatedSecondsCoverWholeRunUnits)
+{
+    // The engine's busy time counts each run unit whole: System
+    // construction (stream distillation included) as well as runAll,
+    // which is all a run's wall_seconds covers.
+    const auto reqs = crossProduct();
+    RunEngine engine(uncached(2));
+    const auto runs = engine.runMany(reqs);
+    double run_seconds = 0;
+    for (const RunMetrics &m : runs) {
+        ASSERT_FALSE(m.from_cache);
+        run_seconds += m.wall_seconds;
+    }
+    EXPECT_GT(run_seconds, 0.0);
+    EXPECT_GE(engine.simulatedSeconds(), run_seconds);
 }
 
 TEST(RunEngine, WarmCacheReturnsIdenticalMetricsWithoutSimulating)
